@@ -22,6 +22,7 @@ reproduced programmatically with a few lines of `repro` calls.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -191,11 +192,17 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    import math
+def _check_duration(args: argparse.Namespace) -> None:
+    """Reject a ``--duration`` a sweep could never finish (NaN, inf, <= 0)."""
+    if not 0 < args.duration < math.inf:
+        raise ValueError(f"--duration must be a finite number of seconds "
+                         f"> 0, got {args.duration}")
 
+
+def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import FaultModel, fault_sweep
 
+    _check_duration(args)
     model = FaultModel(
         seed=args.seed,
         core_mtbf_s=args.core_mtbf if args.core_mtbf else math.inf,
@@ -232,6 +239,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import chaos_sweep
 
+    _check_duration(args)
     apps = tuple(args.apps.split(",")) if args.apps else ("cnn0",)
     rows = chaos_sweep(seed=args.seed, apps=apps, replicas=args.replicas,
                        duration_s=args.duration,
@@ -261,6 +269,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_pod(args: argparse.Namespace) -> int:
     from repro.pod import pod_chaos_sweep
 
+    _check_duration(args)
     apps = tuple(args.apps.split(",")) if args.apps else ("cnn0",)
     rows = pod_chaos_sweep(seed=args.seed, apps=apps, slices=args.slices,
                            slice_chips=args.slice_chips,
@@ -293,6 +302,7 @@ def _cmd_pod(args: argparse.Namespace) -> int:
 def _cmd_llm(args: argparse.Namespace) -> int:
     from repro.serving import llm_sweep
 
+    _check_duration(args)
     models = tuple(args.models.split(",")) if args.models else ("llm0", "llm1")
     if args.faults:
         return _cmd_llm_faults(args, models)
@@ -417,6 +427,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.serving import BatchPolicy, ServingSimulator, Slo
     from repro.workloads import RequestGenerator
 
+    _check_duration(args)
     spec = _resolve_app(args.app)
     chip = _resolve_chip(args.chip)
     with collecting_metrics() as registry:

@@ -399,7 +399,7 @@ class ClusterSimulator:
                        tier_tables: list, retry_budget: int,
                        retry_timeout: float,
                        tracer: Optional["SpanTracer"]) -> ClusterStats:
-        """Reference event loop (``REPRO_FASTSERVE=0`` path)."""
+        """Reference event loop (the ``fastserve_disabled()`` path)."""
         policy = self.policy
         n = len(reps)
         reg = metrics()

@@ -104,8 +104,11 @@ def chaos_sweep(seed: int = 0, *,
     seeded from ``seed``: the sweep is a pure function of its
     arguments (asserted by the engine benchmark).
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(
+            f"duration must be finite and positive, got {duration_s}")
     if not 0 < utilization <= 1:
         raise ValueError("utilization must be in (0, 1]")
     if replicas < 2:

@@ -20,8 +20,8 @@ entirely; results are identical to the uncached path by construction
 Simulations route through the lowered-IR fast path by default:
 ``TensorCoreSim.run`` lowers each compiled program once (cached
 process-wide in :mod:`repro.engine.lowered`) and replays it with a tight
-kernel that is bit-identical to the instruction interpreter. Set
-``REPRO_FASTSIM=0`` to force the reference interpreter everywhere.
+kernel that is bit-identical to the instruction interpreter;
+``fastsim_disabled()`` forces the reference interpreter in-process.
 """
 
 from __future__ import annotations

@@ -112,6 +112,7 @@ across PRs.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import time
@@ -164,11 +165,15 @@ def _bench_sim_path(grid, apps) -> dict:
             program = point.compiled(spec, spec.default_batch).program
             jobs.append((point.sim, program))
 
+    # Each timed side starts from a collected heap, so a full collection
+    # owed to earlier phases cannot land in one side of the ratio.
+    gc.collect()
     t0 = time.perf_counter()
     interp = [sim.run_interpreted(program) for sim, program in jobs]
     interp_cold_s = time.perf_counter() - t0
 
     clear_lowered()
+    gc.collect()
     with lowered_cache_disabled():
         t0 = time.perf_counter()
         fast = [sim.run(program) for sim, program in jobs]
@@ -466,12 +471,14 @@ def _bench_grid(apps: Sequence[str]) -> dict:
             points.append(GridPoint(program, chip))
 
     clear_lowered()
+    gc.collect()  # as in _bench_sim_path: no inherited collection debt
     t0 = time.perf_counter()
     with gridsim_disabled():
         reference = evaluate_grid(points)  # the per-point replay loop
     grid_fast_cold_s = time.perf_counter() - t0
 
     clear_grid_kernel()
+    gc.collect()
     t0 = time.perf_counter()
     batched = evaluate_grid(points)
     grid_cold_s = time.perf_counter() - t0

@@ -16,9 +16,8 @@ about:
   sweep axis over clock or MXU count compiles once per distinct content
   (:func:`compile_chip_fingerprint`; invariance asserted in
   ``tests/test_gridsim.py``) instead of once per chip;
-* **fallback parity** — with the kernel opted out (``REPRO_GRIDSIM=0``)
-  or the fast path off (``REPRO_FASTSIM=0``), every job runs the
-  per-point :meth:`DesignPoint.run` / :meth:`DesignPoint.evaluate` path,
+* **fallback parity** — inside a ``gridsim_disabled()`` or
+  ``fastsim_disabled()`` block, every job runs the per-point :meth:`DesignPoint.run` / :meth:`DesignPoint.evaluate` path,
   so the documented gating contracts keep holding.
 
 Counters flow through :func:`repro.obs.metrics.metrics` (the
@@ -156,9 +155,9 @@ def run_grid(jobs: Sequence[GridJob],
     job.cmem_budget_bytes) for job in jobs]`` — cached jobs are served
     from the same memo/EvalCache tiers, missing jobs are evaluated in
     one kernel batch (compiling once per distinct compile content) and
-    stored back under the same keys. With the kernel opted out
-    (``REPRO_GRIDSIM=0``) or the fast path off (``REPRO_FASTSIM=0``),
-    that per-point loop is exactly what runs.
+    stored back under the same keys. Inside a ``gridsim_disabled()`` or
+    ``fastsim_disabled()`` block, that per-point loop is exactly what
+    runs.
     """
     jobs = list(jobs)
     reg = metrics()

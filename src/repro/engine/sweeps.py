@@ -10,7 +10,7 @@ Every sweep returns results in input order, so feeding them to
 When a sweep would run serially (one effective worker), it is dispatched
 as **one batched grid evaluation** through :mod:`repro.engine.grid`
 instead of a per-point loop: same results, same cache contents, one
-vectorized kernel pass. ``REPRO_GRIDSIM=0`` restores the literal loops.
+vectorized kernel pass; ``gridsim_disabled()`` restores the literal loops.
 """
 
 from __future__ import annotations

@@ -250,7 +250,7 @@ class FaultModel:
 
     def __post_init__(self) -> None:
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # Every rate/duration is validated here, at construction: a bad
         # value must never survive into schedule generation, where a
         # negative mean would crash deep inside the RNG and a NaN would

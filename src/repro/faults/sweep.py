@@ -15,6 +15,7 @@ sweep covers all four generations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -110,8 +111,9 @@ def fault_sweep(model: FaultModel, *,
     arguments.
     """
     from repro.core.dse import DEFAULT_DSE_APPS
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(
+            f"duration must be finite and positive, got {duration_s}")
     if not 0 < utilization <= 1:
         raise ValueError("utilization must be in (0, 1]")
     app_names = tuple(apps) if apps is not None else DEFAULT_DSE_APPS

@@ -13,7 +13,7 @@ never overrides a latency: with zero link faults it runs the exact
 code path of the plain simulator and produces bit-identical
 :class:`~repro.serving.server.ServingStats` (asserted in
 ``tests/test_pod.py`` and the engine benchmark's pod phase, under both
-the replay kernels and ``REPRO_FASTSERVE=0``).
+the replay kernels and the reference event loops).
 
 **Link-fault state machine.** Link timelines (a
 :class:`~repro.faults.model.FaultSchedule` with link indices in the

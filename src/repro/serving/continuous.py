@@ -55,13 +55,13 @@ delta re-prefill), every token recomputed after a loss, and every token
 a snapshot recovered; ``goodput_fraction`` is generated ÷ computed —
 1.0 exactly on a faultless run.
 
-This event loop IS the reference path: there is no vectorized twin (the
-``REPRO_FASTSERVE`` toggle does not apply here), and the byte-identity
+This event loop IS the reference path: there is no vectorized twin
+(``fastserve_disabled()`` does not apply here), and the byte-identity
 contract is two-fold — run-to-run determinism (asserted in the engine
 bench and CI by diffing two ``repro llm`` runs), and a zero-checkpoint
 zero-fault :class:`~repro.serving.recovery.RecoveryPolicy` being
 bit-identical to running with no policy at all (the same contract style
-as the ``REPRO_FASTSIM``/``REPRO_FASTSERVE`` identity gates).
+as the replay-vs-reference identity checks).
 """
 
 from __future__ import annotations
@@ -823,8 +823,11 @@ def _sweep_pairs(seed: int, models: Sequence[str],
     from repro.workloads.generative import generative_by_name, \
         sample_gen_requests
 
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(
+            f"duration must be finite and positive, got {duration_s}")
     if not 0 < utilization <= 1:
         raise ValueError("utilization must be in (0, 1]")
     chip_list = tuple(chips) if chips is not None else GENERATIONS

@@ -36,8 +36,8 @@ batching simulator (:mod:`repro.serving.continuous`) executes:
 
 A ``checkpoint_every=0`` policy snapshots nothing, and under zero
 faults the simulator's float operations are bit-identical to the plain
-PR 9 path — the same contract style as the ``REPRO_FASTSIM`` /
-``REPRO_FASTSERVE`` identity gates, asserted in tests and the engine
+path without recovery — the same contract style as the
+replay-vs-reference identity checks, asserted in tests and the engine
 bench.
 """
 

@@ -222,7 +222,7 @@ class ServingSimulator:
                        schedule: Optional["FaultSchedule"],
                        retry_budget: int, retry_timeout: float,
                        tracer: Optional["SpanTracer"]) -> ServingStats:
-        """Reference event loop (``REPRO_FASTSERVE=0`` path)."""
+        """Reference event loop (the ``fastserve_disabled()`` path)."""
         servers = [(0.0, core) for core in range(self.point.chip.cores)]
         heapq.heapify(servers)
 

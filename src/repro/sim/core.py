@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.arch.chip import ChipConfig
 from repro.arch.dma import DmaEngine
@@ -40,7 +40,9 @@ from repro.isa.instructions import (
 from repro.isa.program import Program
 from repro.sim.lowered import FastReplay, fastsim_enabled
 from repro.sim.perf import PerfCounters, PerfReport, build_report
-from repro.sim.trace import Trace, TraceEvent
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.tracer import SpanTracer
 
 _ENGINES_PER_LEVEL = 4
 
@@ -51,7 +53,7 @@ class SimResult:
 
     report: PerfReport
     counters: PerfCounters
-    trace: Optional[Trace]
+    trace: Optional["SpanTracer"]
 
     @property
     def seconds(self) -> float:
@@ -74,6 +76,8 @@ class _RunState:
     mxu_free: int = 0
     vpu_free: int = 0
     flags: dict[int, int] = field(default_factory=dict)
+    tracer: Optional["SpanTracer"] = None
+    us_per_cycle: float = 0.0
 
 
 class TensorCoreSim:
@@ -93,8 +97,10 @@ class TensorCoreSim:
 
         Routes through the lowered-IR fast path (:mod:`repro.sim.lowered`)
         by default — bit-identical to the interpreter, several times
-        faster. Tracing runs and ``REPRO_FASTSIM=0`` use the interpreter
-        (:meth:`run_interpreted`), the reference implementation.
+        faster. Tracing runs (whose ``SimResult.trace`` holds a
+        :class:`~repro.obs.tracer.SpanTracer`) and ``fastsim_disabled()``
+        blocks use the interpreter (:meth:`run_interpreted`), the
+        reference implementation.
         """
         if program.generation != self.chip.generation:
             raise ValueError(
@@ -110,11 +116,24 @@ class TensorCoreSim:
             from repro.engine.lowered import lowered_program
             return self.replay.run(lowered_program(program, self.chip),
                                    dtype=dtype)
-        return self.run_interpreted(program, dtype=dtype, trace=trace)
+        tracer = None
+        if trace:
+            from repro.obs.tracer import SpanTracer  # local: obs imports sim
+            tracer = SpanTracer()
+        return self.run_interpreted(program, dtype=dtype, tracer=tracer)
 
     def run_interpreted(self, program: Program, *, dtype: str = "bf16",
-                        trace: bool = False) -> SimResult:
-        """The legacy per-instruction interpreter (reference timings)."""
+                        tracer: Optional["SpanTracer"] = None) -> SimResult:
+        """The per-instruction interpreter (reference timings).
+
+        With a ``tracer``, every executed MXU/VPU/DMA instruction and
+        every stalling ``sync.wait`` records one span on the ``core``
+        group, on the chip's simulated clock in microseconds: ``mxm``
+        (``macs``) and ``mxm.fixed`` on ``mxu``, ``vector``
+        (``alu_ops``) on ``vpu``, ``dma`` (``bytes``) on
+        ``dma.<level>``, ``sync.wait`` (``flag``) on ``sync``. Tracing
+        never changes the result.
+        """
         if program.generation != self.chip.generation:
             raise ValueError(
                 f"program was compiled for generation {program.generation}; "
@@ -131,8 +150,8 @@ class TensorCoreSim:
                                    for _ in range(_ENGINES_PER_LEVEL)]
 
         counters = PerfCounters()
-        log = Trace() if trace else None
-        state = _RunState()
+        state = _RunState(tracer=tracer,
+                          us_per_cycle=1e6 / self.chip.clock_hz)
         elem_bytes = 1 if dtype == "int8" else 2
 
         issue = 0
@@ -145,8 +164,7 @@ class TensorCoreSim:
             bundle_issue = issue
             for inst in bundle.instructions:
                 issue = self._execute(
-                    inst, issue, memory, engines, state, counters, log,
-                    elem_bytes)
+                    inst, issue, memory, engines, state, counters, elem_bytes)
                 if inst.opcode is Opcode.HALT:
                     halted = True
                     break
@@ -164,24 +182,26 @@ class TensorCoreSim:
             counters.add_bytes(level, moved)
 
         report = build_report(self.chip, program.name, counters, dtype)
-        return SimResult(report=report, counters=counters, trace=log)
+        return SimResult(report=report, counters=counters, trace=tracer)
 
     # ------------------------------------------------------------- internals
 
     def _execute(self, inst: Instruction, issue: int, memory: MemorySystem,
                  engines: dict[str, list[DmaEngine]], state: _RunState,
-                 counters: PerfCounters, log: Optional[Trace],
-                 elem_bytes: int) -> int:
+                 counters: PerfCounters, elem_bytes: int) -> int:
         """Execute one instruction; returns the updated issue cycle."""
         op = inst.opcode
+        tracer = state.tracer
+        scale = state.us_per_cycle
 
         if op is Opcode.SYNC_WAIT:
             target = state.flags.get(inst.args[0], 0)
             if target > issue:
                 counters.sync_stall_cycles += target - issue
-                if log:
-                    log.record(TraceEvent(issue, target, "sync", "sync.wait",
-                                          f"flag {inst.args[0]}"))
+                if tracer is not None:
+                    tracer.record("sync.wait", "sync", "core", "sync",
+                                  issue * scale, (target - issue) * scale,
+                                  (("flag", inst.args[0]),))
                 return target
             return issue
 
@@ -202,10 +222,11 @@ class TensorCoreSim:
             transfer = engine.issue(num_bytes, issue,
                                     contention=max(1, active))
             state.flags[flag] = transfer.end_cycle
-            if log:
-                log.record(TraceEvent(transfer.start_cycle, transfer.end_cycle,
-                                      f"dma.{level_name}", op.mnemonic,
-                                      f"{num_bytes} B"))
+            if tracer is not None:
+                tracer.record("dma", "memory", "core", f"dma.{level_name}",
+                              transfer.start_cycle * scale,
+                              transfer.duration * scale,
+                              (("bytes", num_bytes),))
             return issue
 
         if op is Opcode.MXM:
@@ -218,9 +239,9 @@ class TensorCoreSim:
             # Operand/result traffic through VMEM.
             memory.record_traffic(
                 "vmem", (m * k + k * n + m * n) * elem_bytes)
-            if log:
-                log.record(TraceEvent(start, state.mxu_free, "mxu", "mxm",
-                                      f"{m}x{k}x{n}"))
+            if tracer is not None:
+                tracer.record("mxm", "compute", "core", "mxu", start * scale,
+                              timing.cycles * scale, (("macs", timing.macs),))
             return issue
 
         if op is Opcode.MXM_LOADW or op is Opcode.MXM_TRANSPOSE:
@@ -229,11 +250,14 @@ class TensorCoreSim:
             start = max(issue, state.mxu_free)
             state.mxu_free = start + cycles
             counters.mxu_busy_cycles += cycles
+            if tracer is not None:
+                tracer.record("mxm.fixed", "compute", "core", "mxu",
+                              start * scale, cycles * scale)
             return issue
 
         if op in VECTOR_OP_CLASS:
             return self._execute_vector(inst, issue, memory, state, counters,
-                                        log, elem_bytes)
+                                        elem_bytes)
 
         if op is Opcode.HALT:
             return issue
@@ -244,8 +268,7 @@ class TensorCoreSim:
 
     def _execute_vector(self, inst: Instruction, issue: int,
                         memory: MemorySystem, state: _RunState,
-                        counters: PerfCounters, log: Optional[Trace],
-                        elem_bytes: int) -> int:
+                        counters: PerfCounters, elem_bytes: int) -> int:
         op_class = VECTOR_OP_CLASS[inst.opcode]
         if inst.opcode is Opcode.VREDUCE:
             elements, axis_len = inst.args
@@ -258,9 +281,11 @@ class TensorCoreSim:
         counters.vector_alu_ops += timing.alu_ops
         counters.vpu_busy_cycles += timing.cycles
         memory.record_traffic("vmem", 2 * elements * elem_bytes)
-        if log:
-            log.record(TraceEvent(start, state.vpu_free, "vpu",
-                                  inst.opcode.mnemonic, f"{elements} elems"))
+        if state.tracer is not None:
+            state.tracer.record("vector", "compute", "core", "vpu",
+                                start * state.us_per_cycle,
+                                timing.cycles * state.us_per_cycle,
+                                (("alu_ops", timing.alu_ops),))
         return issue
 
     # ---------------------------------------------------------- model loading

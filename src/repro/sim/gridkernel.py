@@ -31,20 +31,17 @@ replay. The result is **bit-identical** to per-point
 :class:`FastReplay` (the reference; asserted in ``tests/test_gridsim.py``
 and ``benchmarks/bench_engine.py``).
 
-``REPRO_GRIDSIM=0`` (or :func:`gridsim_disabled`) opts out, mirroring
-``REPRO_FASTSIM``: :func:`evaluate_grid` then runs the per-point replay
-loop. The same fallback covers a missing numpy and the (theoretical)
-program whose vector-ALU float accumulation the batched integer sum
-cannot reproduce exactly.
+Inside a :func:`gridsim_disabled` block :func:`evaluate_grid` runs the
+per-point replay loop, the reference. The same fallback covers a missing
+numpy and the (theoretical) program whose vector-ALU float accumulation
+the batched integer sum cannot reproduce exactly.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.chip import ChipConfig
 from repro.arch.memory import MemorySystem
@@ -54,15 +51,12 @@ from repro.isa.instructions import LEVEL_NAMES, Opcode, VECTOR_OP_CLASS
 from repro.isa.program import Program
 from repro.sim.lowered import DMA_OVERHEAD_CYCLES, ENGINES_PER_LEVEL
 from repro.sim.perf import PerfCounters, build_report
+from repro.util.switch import PathSwitch
 
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - numpy is baked into the image
     np = None
-
-#: ``REPRO_GRIDSIM=0`` (or ``off``) routes grid evaluation through the
-#: per-point replay reference; anything else uses the batched kernel.
-ENV_GRIDSIM = "REPRO_GRIDSIM"
 
 #: Float vector-ALU totals above this are not guaranteed to match the
 #: interpreter's sequential accumulation bit for bit (every partial sum
@@ -74,25 +68,11 @@ _H_WAIT = 0
 _H_SET = 1
 _H_DMA = 2
 
-_gridsim_off_depth = 0
-
-
-def gridsim_enabled() -> bool:
-    """Whether grid evaluation uses the batched kernel (vs per-point)."""
-    if _gridsim_off_depth:
-        return False
-    return os.environ.get(ENV_GRIDSIM, "").lower() not in ("0", "off")
-
-
-@contextmanager
-def gridsim_disabled() -> Iterator[None]:
-    """Force per-point replay (reference timings, benchmarks)."""
-    global _gridsim_off_depth
-    _gridsim_off_depth += 1
-    try:
-        yield
-    finally:
-        _gridsim_off_depth -= 1
+_GRIDSIM = PathSwitch()
+#: Whether grid evaluation uses the batched kernel (vs per-point).
+gridsim_enabled = _GRIDSIM.enabled
+#: Force per-point replay (reference timings, benchmarks).
+gridsim_disabled = _GRIDSIM.disabled
 
 
 # ------------------------------------------------------------------- stats
@@ -638,8 +618,8 @@ def evaluate_grid(points: Sequence[GridPoint]) -> list:
     Bit-identical to ``[FastReplay(p.chip).run(lower_program(p.program,
     p.chip), dtype=p.dtype) for p in points]`` — the per-point loop the
     kernel replaces — including the errors it raises and the order it
-    raises them in. Falls back to exactly that loop when the kernel is
-    disabled (``REPRO_GRIDSIM=0``) or numpy is unavailable.
+    raises them in. Falls back to exactly that loop inside a
+    :func:`gridsim_disabled` block or when numpy is unavailable.
     """
     from repro.sim.core import SimResult  # local: core imports our sibling
 

@@ -21,23 +21,20 @@ dominate cold evaluation. This module splits that work in two:
 
 The lowered form is dtype-independent (arithmetic width only scales byte
 traffic, applied at replay time), so one lowering serves bf16 and int8
-replays. The interpreter remains the reference implementation: set
-``REPRO_FASTSIM=0`` (or use :func:`fastsim_disabled`) to route every run
-through it, and tracing runs always use it.
+replays. The interpreter remains the reference implementation: tracing
+runs always use it, and :func:`fastsim_disabled` routes every run through
+it in-process (tests and the engine bench's baselines).
 
-Rows are plain tuples ``(kind, a0, a1, a2, f)``; :meth:`LoweredProgram.
-arrays` exposes them as numpy columns for vectorized analysis when numpy
-is available. The replay loop itself stays sequential because issue/unit
-state carries a loop dependency the bit-identity contract cannot break.
+Rows are plain tuples ``(kind, a0, a1, a2, f)``. The replay loop stays
+sequential because issue/unit state carries a loop dependency the
+bit-identity contract cannot break.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.arch.chip import ChipConfig
 from repro.arch.memory import MemorySystem
@@ -46,16 +43,13 @@ from repro.arch.vpu import VpuModel
 from repro.isa.instructions import LEVEL_NAMES, Opcode, VECTOR_OP_CLASS
 from repro.isa.program import Program
 from repro.sim.perf import PerfCounters, build_report
+from repro.util.switch import PathSwitch
 
 #: Mirrors ``repro.sim.core._ENGINES_PER_LEVEL`` (asserted equal in tests).
 ENGINES_PER_LEVEL = 4
 
 #: Mirrors ``DmaEngine``'s default per-transfer descriptor overhead.
 DMA_OVERHEAD_CYCLES = 64
-
-#: ``REPRO_FASTSIM=0`` (or ``off``) routes all runs through the legacy
-#: interpreter; anything else (including unset) uses lowering + replay.
-ENV_FASTSIM = "REPRO_FASTSIM"
 
 # Row kinds. Frequency-ordered so the replay dispatch chain tests the
 # common cases first (MXM and bundle markers dominate real programs).
@@ -75,25 +69,11 @@ _KIND_NAMES = {
     K_SCALAR: "scalar", K_MXM_FIXED: "mxm.fixed", K_HALT: "halt",
 }
 
-_fastsim_off_depth = 0
-
-
-def fastsim_enabled() -> bool:
-    """Whether runs default to lowering + replay (vs the interpreter)."""
-    if _fastsim_off_depth:
-        return False
-    return os.environ.get(ENV_FASTSIM, "").lower() not in ("0", "off")
-
-
-@contextmanager
-def fastsim_disabled() -> Iterator[None]:
-    """Force the legacy interpreter (reference timings, benchmarks)."""
-    global _fastsim_off_depth
-    _fastsim_off_depth += 1
-    try:
-        yield
-    finally:
-        _fastsim_off_depth -= 1
+_FASTSIM = PathSwitch()
+#: Whether runs default to lowering + replay (vs the interpreter).
+fastsim_enabled = _FASTSIM.enabled
+#: Force the reference interpreter (reference timings, benchmarks).
+fastsim_disabled = _FASTSIM.disabled
 
 
 @dataclass(frozen=True)
@@ -128,26 +108,6 @@ class LoweredProgram:
             name = _KIND_NAMES[row[0]]
             counts[name] = counts.get(name, 0) + 1
         return counts
-
-    def arrays(self):
-        """The rows as a dict of numpy column arrays (kinds/a0/a1/a2/f).
-
-        For vectorized analysis over DMA/vector segments; returns None
-        when numpy is unavailable so no caller needs a hard dependency.
-        """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is baked in
-            return None
-        kinds, a0, a1, a2, f = (list(c) for c in zip(*self.rows)) \
-            if self.rows else ([], [], [], [], [])
-        return {
-            "kind": np.asarray(kinds, dtype=np.int64),
-            "a0": np.asarray(a0, dtype=np.int64),
-            "a1": np.asarray(a1, dtype=np.int64),
-            "a2": np.asarray(a2, dtype=np.int64),
-            "f": np.asarray(f, dtype=np.float64),
-        }
 
 
 def lower_program(program: Program, chip: ChipConfig,
@@ -404,9 +364,3 @@ class FastReplay:
 
         report = build_report(chip, lowered.name, counters, dtype)
         return SimResult(report=report, counters=counters, trace=None)
-
-
-def replay(lowered: LoweredProgram, chip: ChipConfig, *,
-           dtype: str = "bf16"):
-    """One-shot convenience wrapper over :class:`FastReplay`."""
-    return FastReplay(chip).run(lowered, dtype=dtype)

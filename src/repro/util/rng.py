@@ -15,6 +15,13 @@ import numpy as np
 T = TypeVar("T")
 
 
+def _check_horizon(name: str, seconds: float) -> None:
+    """Reject a NaN, infinite or negative horizon (NaN and inf never end)."""
+    if not 0 <= seconds < math.inf:
+        raise ValueError(
+            f"{name} must be finite and non-negative, got {seconds}")
+
+
 class DeterministicRng:
     """A seeded random source with the distributions the simulators need.
 
@@ -57,6 +64,7 @@ class DeterministicRng:
         """
         if rate_per_s <= 0:
             raise ValueError(f"rate must be positive, got {rate_per_s}")
+        _check_horizon("duration", duration_s)
         mean = 1.0 / rate_per_s
         gen = self._gen
         bit_gen = gen.bit_generator
@@ -92,6 +100,7 @@ class DeterministicRng:
         if mean_interval_s <= 0:
             raise ValueError(
                 f"mean interval must be positive, got {mean_interval_s}")
+        _check_horizon("horizon", horizon_s)
         if math.isinf(mean_interval_s) or horizon_s <= 0:
             return []
         times: List[float] = []

@@ -1,10 +1,19 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
+
+#: The source root, so subprocess runs import the same ``repro``.
+_SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestCli:
@@ -203,3 +212,35 @@ class TestPodCommand:
         assert "error:" in capsys.readouterr().err
         assert main(["pod", "--slice-chips", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _limit_memory():
+    """Cap the child's address space at 2 GiB (runs before exec)."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+class TestHostileInputs:
+    """Inputs that once hung or misreported: exit 2, naming the value."""
+
+    @pytest.mark.parametrize("command", ["cluster", "faults", "pod", "llm"])
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_endless_duration_exits_2(self, command, duration):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_SRC, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", command, "--duration", duration],
+            capture_output=True, text=True, timeout=10, env=env,
+            preexec_fn=_limit_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert f"got {duration}" in proc.stderr
+
+    @pytest.mark.parametrize("args, seed", [
+        (["cluster"], "-5"),
+        (["pod"], "-1"),
+        (["llm"], "-1"),
+        (["llm", "--faults"], "-1"),
+    ])
+    def test_negative_seed_names_the_callers_value(self, capsys, args, seed):
+        assert main([*args, "--seed", seed, "--duration", "0.1"]) == 2
+        assert capsys.readouterr().err.strip().endswith(f"got {seed}")

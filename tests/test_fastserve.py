@@ -1,13 +1,13 @@
 """Fastserve replay kernels: bit-identity against the event loops.
 
-The contract under test is absolute: with ``REPRO_FASTSERVE`` on (the
-default), :func:`repro.serving.fastserve.replay_serving` and
+The contract under test is absolute: outside a ``fastserve_disabled()``
+block, :func:`repro.serving.fastserve.replay_serving` and
 :func:`replay_cluster` must reproduce the reference event loops'
 returned stats **byte for byte** — same floats, same counters, same
 tracer spans — on every scenario the chaos sweep exercises: faultless,
 replica kills, mid-batch kills, transient slowdowns, overload shedding,
 hedging, and dtype degradation tiers, across all four chip generations.
-Plus the satellites that ride along: the env/context opt-out gating,
+Plus the satellites that ride along: the context-manager opt-out,
 the shared-compile regression for identical replicas, float-typed
 latency stats, the bare-timestamp request API, and the vectorized
 Poisson generator's parity with the scalar loop it replaced.
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import GENERATIONS, TPUV4I
+from repro.arch import GENERATIONS
 from repro.cluster import ClusterPolicy, ClusterSimulator, DegradationTier
 from repro.cluster.sweep import chaos_sweep
 from repro.core.design_point import DesignPoint
@@ -64,6 +64,47 @@ def slowdown_schedule(cores, horizon_s=10.0, factor=20.0):
 @pytest.fixture(scope="module")
 def traffic():
     return RequestGenerator(7).poisson("cnn0", 2000.0, 0.5)
+
+
+@st.composite
+def cluster_policies(draw):
+    """Any valid router: each protection independently on or off."""
+    probe = draw(st.none() | st.floats(0.002, 0.05))
+    tiers = ()
+    if probe is not None and draw(st.booleans()):
+        tiers = (DegradationTier("half", max_batch=4),
+                 DegradationTier("quarter", max_batch=2))[
+            :draw(st.integers(1, 2))]
+    return ClusterPolicy(
+        probe_interval_s=probe,
+        unhealthy_after=draw(st.integers(1, 3)),
+        ejection_s=draw(st.floats(0.0, 0.1)),
+        admission_rate_qps=draw(st.none() | st.floats(500.0, 6000.0)),
+        admission_burst=draw(st.floats(1.0, 64.0)),
+        max_queue_depth=draw(st.none() | st.integers(1, 64)),
+        hedge_delay_s=draw(st.none() | st.floats(0.0, 0.01)),
+        tiers=tiers,
+        degrade_below_healthy=draw(st.floats(0.0, 1.0)),
+        degrade_above_queue=draw(st.none() | st.integers(1, 64)),
+        degrade_after=draw(st.integers(1, 3)),
+        recover_after=draw(st.integers(1, 4)))
+
+
+_NEVER = st.just(math.inf)
+
+#: Any valid fault model; ``None`` (no faults) is drawn too.
+fault_models = st.none() | st.builds(
+    FaultModel,
+    seed=st.integers(0, 2**31),
+    core_mtbf_s=_NEVER | st.floats(0.02, 0.5),
+    core_repair_s=st.floats(0.0, 0.05),
+    chip_mtbf_s=_NEVER | st.floats(0.05, 0.5),
+    chip_repair_s=st.floats(0.0, 0.05),
+    slowdown_mtbf_s=_NEVER | st.floats(0.02, 0.5),
+    slowdown_s=st.floats(0.0, 0.1),
+    slowdown_factor=st.floats(1.0, 10.0),
+    retry_budget=st.integers(0, 3),
+    retry_timeout_s=_NEVER | st.floats(0.005, 0.1))
 
 
 def serving_both_ways(sim_factory, requests, **kwargs):
@@ -127,6 +168,19 @@ class TestServingIdentity:
         fast, cold = serving_both_ways(lambda: make_sim(v4i_point), requests)
         assert fast == cold
         assert fast.mean_batch > 7.9  # queue really ran deep
+
+    @settings(max_examples=20, deadline=None)
+    @given(faults=fault_models, seed=st.integers(0, 2**31),
+           max_batch=st.sampled_from((1, 2, 4, 8)),
+           max_wait_s=st.floats(0.0, 0.005), rate=st.floats(500.0, 6000.0))
+    def test_identity_property_over_policies_and_faults(
+            self, v4i_point, faults, seed, max_batch, max_wait_s, rate):
+        requests = RequestGenerator(seed).poisson("cnn0", rate, 0.15)
+        fast, cold = serving_both_ways(
+            lambda: make_sim(v4i_point, max_batch=max_batch,
+                             max_wait_s=max_wait_s),
+            requests, faults=faults)
+        assert fast == cold
 
 
 class TestClusterIdentity:
@@ -250,49 +304,36 @@ class TestClusterIdentity:
 
 class TestChaosSweepIdentity:
     def test_every_scenario_row_identical(self):
-        fast = chaos_sweep(seed=3, chips=(TPUV4I,), duration_s=0.25)
+        # The rows `repro cluster --seed 3 --duration 0.3` prints.
+        fast = chaos_sweep(seed=3, duration_s=0.3)
         with fastserve_disabled():
-            cold = chaos_sweep(seed=3, chips=(TPUV4I,), duration_s=0.25)
+            cold = chaos_sweep(seed=3, duration_s=0.3)
         assert len(fast) == len(cold)
         for f, c in zip(fast, cold):
-            assert f == c, f"{f.scenario}/{f.policy} diverged"
+            assert f == c, f"{f.chip}/{f.scenario}/{f.policy} diverged"
         # All five scenarios really ran under both policies.
         assert {(r.scenario, r.policy) for r in fast} == {
             (s, p) for s in ("faultless", "kill-1", "chip-outages",
                              "slowdowns", "overload")
             for p in ("static", "resilient")}
 
-    @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31))
-    def test_identity_property_over_seeds(self, seed):
-        point = DesignPoint(TPUV4I)
-        requests = RequestGenerator(seed).poisson("cnn0", 2500.0, 0.2)
-        if not requests:
-            return
-        model = FaultModel(seed=seed, chip_mtbf_s=0.1, chip_repair_s=0.05,
-                           slowdown_mtbf_s=0.15)
-        policy = ClusterPolicy.resilient(
-            slo_limit_s=0.005, offered_qps=2500.0, max_batch=8, replicas=3,
-            int8_tier=False)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31),
+           policy=cluster_policies(), faults=fault_models,
+           replicas=st.integers(1, 3), rate=st.floats(500.0, 6000.0))
+    def test_identity_property_over_seeds(self, v4i_point, seed, policy,
+                                          faults, replicas, rate):
+        """Generated router policies x fault models x seeds."""
+        requests = RequestGenerator(seed).poisson("cnn0", rate, 0.15)
         fast, cold = cluster_both_ways(
-            lambda: ClusterSimulator(make_replicas(point, 3), policy),
-            requests, faults=model)
+            lambda: ClusterSimulator(make_replicas(v4i_point, replicas),
+                                     policy),
+            requests, faults=faults)
         assert fast == cold
 
 
 class TestGating:
-    def test_env_var_disables_kernels(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTSERVE", raising=False)
-        assert fastserve_enabled()
-        monkeypatch.setenv("REPRO_FASTSERVE", "0")
-        assert not fastserve_enabled()
-        monkeypatch.setenv("REPRO_FASTSERVE", "off")
-        assert not fastserve_enabled()
-        monkeypatch.setenv("REPRO_FASTSERVE", "1")
-        assert fastserve_enabled()
-
-    def test_context_manager_nests(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTSERVE", "1")
+    def test_context_manager_nests(self):
         assert fastserve_enabled()
         with fastserve_disabled():
             assert not fastserve_enabled()
@@ -301,9 +342,7 @@ class TestGating:
             assert not fastserve_enabled()
         assert fastserve_enabled()
 
-    def test_stats_count_fast_path_only(self, v4i_point, traffic,
-                                        monkeypatch):
-        monkeypatch.setenv("REPRO_FASTSERVE", "1")
+    def test_stats_count_fast_path_only(self, v4i_point, traffic):
         clear_fastserve()
         make_sim(v4i_point).simulate(traffic)
         assert fastserve_stats().replays == 1

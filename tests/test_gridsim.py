@@ -9,14 +9,13 @@ dtype, and hand-built corner-case programs. On top of the kernel, the
 engine wrapper (:mod:`repro.engine.grid`) must keep the cache contract:
 cached points never enter a batch, computed points are stored under the
 per-point keys, and a grid-routed sweep is indistinguishable from the
-serial loop it replaces. ``REPRO_GRIDSIM=0`` restores the per-point
-path, mirroring ``REPRO_FASTSIM``.
+serial loop it replaces. ``gridsim_disabled()`` restores the per-point
+path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import sys
 
 import pytest
 
@@ -39,7 +38,6 @@ from repro.engine.lowered import clear_lowered
 from repro.isa import Bundle, Instruction, Opcode, Program
 from repro.obs.metrics import collecting_metrics
 from repro.sim.gridkernel import (
-    ENV_GRIDSIM,
     GridPoint,
     clear_grid_kernel,
     evaluate_grid,
@@ -54,13 +52,6 @@ from repro.workloads import app_by_name
 ALL_CHIPS = (TPUV1, TPUV2, TPUV3, TPUV4I)
 APPS = ("mlp0", "cnn0", "rnn0")
 BATCHES = (1, 8)
-
-# Equivalence/parity tests run under REPRO_GRIDSIM=0 too (the CI job
-# does exactly that); tests asserting *batched-kernel internals* are
-# meaningless with the kernel opted out and skip themselves.
-requires_kernel = pytest.mark.skipif(
-    not gridsim_enabled(),
-    reason="grid kernel disabled via REPRO_GRIDSIM")
 
 
 def _dtypes(chip):
@@ -114,15 +105,13 @@ class TestBitIdentityOnWorkloads:
         assert len(batched) == len(points)
         for ref, out in zip(reference, batched):
             _assert_identical(ref, out)
-        if gridsim_enabled():
-            stats = grid_kernel_stats()
-            assert stats.batches == 1
-            assert stats.points == len(points)
-            assert stats.fallback_points == 0
-            # Structure tables are shared per program, not per point.
-            assert stats.structs == len(compiled_programs)
+        stats = grid_kernel_stats()
+        assert stats.batches == 1
+        assert stats.points == len(points)
+        assert stats.fallback_points == 0
+        # Structure tables are shared per program, not per point.
+        assert stats.structs == len(compiled_programs)
 
-    @requires_kernel
     def test_dse_variants_share_structures(self, compiled_programs):
         """Clock/MXU variants reuse one struct; CMEM stays per-program."""
         chip, program = compiled_programs[("TPUv4i", "cnn0", 8)]
@@ -260,15 +249,6 @@ class TestErrorParity:
 
 
 class TestGating:
-    def test_env_gate(self, monkeypatch):
-        monkeypatch.setenv(ENV_GRIDSIM, "0")
-        assert not gridsim_enabled()
-        monkeypatch.setenv(ENV_GRIDSIM, "off")
-        assert not gridsim_enabled()
-        monkeypatch.setenv(ENV_GRIDSIM, "1")
-        assert gridsim_enabled()
-
-    @requires_kernel
     def test_context_manager_is_reentrant(self):
         assert gridsim_enabled()
         with gridsim_disabled():
@@ -309,7 +289,6 @@ class TestEngineGrid:
                                              job.cmem_budget_bytes)
                 _assert_identical(expected, result)
 
-    @requires_kernel
     def test_cached_jobs_never_enter_the_batch(self):
         spec = app_by_name("mlp0")
         point = self._point()
@@ -325,7 +304,6 @@ class TestEngineGrid:
         assert grid_stats().batches == stats.batches
         assert again == results
 
-    @requires_kernel
     def test_duplicate_jobs_share_one_kernel_point(self):
         spec = app_by_name("mlp0")
         point = self._point()
@@ -351,17 +329,16 @@ class TestEngineGrid:
         # And the grid-stored records serve point.evaluate afterwards.
         assert jobs[0].point.evaluate(spec, 1) == evaluations[0]
 
-    def test_fallback_env_runs_per_point(self, monkeypatch):
+    def test_fallback_runs_per_point(self):
         spec = app_by_name("mlp0")
         point = self._point()
-        monkeypatch.setenv(ENV_GRIDSIM, "0")
         clear_grid_stats()
-        results = run_grid([GridJob(point, spec, 4)])
+        with gridsim_disabled():
+            results = run_grid([GridJob(point, spec, 4)])
         assert grid_stats().fallback_points == 1
         assert grid_stats().batches == 0
         assert results[0] is point.run(spec, 4)
 
-    @requires_kernel
     def test_grid_metrics_counted(self):
         spec = app_by_name("mlp0")
         point = self._point()
@@ -480,47 +457,3 @@ class TestCompileContentFingerprint:
                                  cmem_bytes=TPUV4I.cmem_bytes // 2)
         assert (compile_chip_fingerprint(smaller)
                 != compile_chip_fingerprint(TPUV4I))
-
-
-class TestLoweredArrays:
-    """Direct contract tests for LoweredProgram.arrays()."""
-
-    def _lowered(self):
-        program = Program("cols", generation=4)
-        program.append(Bundle((Instruction(Opcode.DMA_IN, (0, 2**20, 1)),)))
-        program.append(Bundle((Instruction(Opcode.SYNC_WAIT, (1,)),
-                               Instruction(Opcode.MXM, (128, 128, 128)),
-                               Instruction(Opcode.VADD, (4096,)))))
-        program.append(Bundle((Instruction(Opcode.HALT),)))
-        return lower_program(program, TPUV4I)
-
-    def test_column_names_and_dtypes(self):
-        np = pytest.importorskip("numpy")
-        columns = self._lowered().arrays()
-        assert set(columns) == {"kind", "a0", "a1", "a2", "f"}
-        for name in ("kind", "a0", "a1", "a2"):
-            assert columns[name].dtype == np.int64, name
-        assert columns["f"].dtype == np.float64
-
-    def test_rows_roundtrip_in_order(self):
-        pytest.importorskip("numpy")
-        lowered = self._lowered()
-        columns = lowered.arrays()
-        assert all(len(col) == len(lowered) for col in columns.values())
-        for i, (kind, a0, a1, a2, f) in enumerate(lowered.rows):
-            assert columns["kind"][i] == kind
-            assert columns["a0"][i] == a0
-            assert columns["a1"][i] == a1
-            assert columns["a2"][i] == a2
-            assert columns["f"][i] == f
-
-    def test_empty_program_exports_empty_columns(self):
-        pytest.importorskip("numpy")
-        lowered = lower_program(Program("empty", generation=4), TPUV4I)
-        columns = lowered.arrays()
-        assert all(len(col) == 0 for col in columns.values())
-
-    def test_numpy_absent_returns_none(self, monkeypatch):
-        lowered = self._lowered()
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert lowered.arrays() is None

@@ -89,7 +89,7 @@ class TestSimulator:
     def test_trace_records_units(self, tiny_mlp):
         compiled = compile_model(tiny_mlp, TPUV4I)
         result = TensorCoreSim(TPUV4I).run(compiled.program, trace=True)
-        units = {e.unit for e in result.trace.events}
+        units = {span.track for span in result.trace.spans}
         assert "mxu" in units
         assert any(u.startswith("dma.") for u in units)
 

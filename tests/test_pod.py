@@ -43,6 +43,7 @@ from repro.pod import (
 )
 from repro.pod.sharding import ICI_LEVEL
 from repro.serving.batching import BatchPolicy
+from repro.serving.fastserve import fastserve_disabled
 from repro.serving.server import ServingSimulator
 from repro.serving.slo import Slo
 from repro.sim.lowered import K_DMA, K_SYNC_WAIT, FastReplay, lower_program
@@ -319,13 +320,19 @@ class TestSliceIdentity:
     def test_single_chip_stats_bit_identical(self):
         plain, sliced = self._pair()
         requests = RequestGenerator(17).poisson("cnn0", 400, 0.5)
-        assert sliced.simulate(requests) == plain.simulate(requests)
+        expected = plain.simulate(requests)
+        assert sliced.simulate(requests) == expected
+        with fastserve_disabled():  # and on the reference event loops
+            assert sliced.simulate(requests) == expected
+            assert plain.simulate(requests) == expected
 
     def test_zero_fault_pod_model_bit_identical(self):
         plain, sliced = self._pair()
         sliced.pod_faults = PodFaultModel(seed=5)
         requests = RequestGenerator(17).poisson("cnn0", 400, 0.5)
         assert sliced.simulate(requests) == plain.simulate(requests)
+        with fastserve_disabled():
+            assert sliced.simulate(requests) == plain.simulate(requests)
 
     def test_multi_chip_zero_fault_simulate_matches_plain_call(self):
         """With no pod faults, SliceSimulator.simulate IS the parent

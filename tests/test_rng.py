@@ -1,5 +1,7 @@
 """Tests for repro.util.rng."""
 
+import math
+
 import pytest
 
 from repro.util.rng import DeterministicRng
@@ -40,6 +42,20 @@ class TestDistributions:
     def test_poisson_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             DeterministicRng(0).poisson_arrivals(0, 1.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+    def test_poisson_rejects_endless_duration(self, duration):
+        with pytest.raises(ValueError, match=str(duration)):
+            DeterministicRng(0).poisson_arrivals(100.0, duration)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+    def test_event_times_rejects_endless_horizon(self, horizon):
+        with pytest.raises(ValueError, match=str(horizon)):
+            DeterministicRng(0).event_times(1.0, horizon)
+
+    def test_zero_horizon_is_empty(self):
+        assert DeterministicRng(0).poisson_arrivals(100.0, 0.0) == []
+        assert DeterministicRng(0).event_times(1.0, 0.0) == []
 
     def test_exponential_mean(self):
         rng = DeterministicRng(11)

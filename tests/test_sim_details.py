@@ -5,34 +5,44 @@ import pytest
 from repro.arch import TPUV4I
 from repro.compiler import RELEASES, compile_model
 from repro.isa import Bundle, Instruction, Opcode, Program
-from repro.sim import TensorCoreSim, Trace, TraceEvent
+from repro.obs.tracer import SpanTracer
+from repro.sim import TensorCoreSim
 from repro.sim.perf import PerfCounters, build_report
 
 from tests.conftest import make_tiny_mlp
 
 
 class TestTrace:
+    """Spans the reference interpreter records into a SpanTracer."""
+
+    def _program(self):
+        program = Program("traced", generation=4)
+        for _ in range(5):
+            program.append(Bundle((Instruction(Opcode.MXM, (128, 128, 128)),
+                                   Instruction(Opcode.VADD, (4096,)))))
+        program.append(Bundle((Instruction(Opcode.HALT),)))
+        return program
+
     def test_capacity_truncates_silently(self):
-        trace = Trace(capacity=3)
-        for index in range(5):
-            trace.record(TraceEvent(index, index + 1, "mxu", "mxm"))
-        assert len(trace.events) == 3
-        assert trace.truncated
+        tracer = SpanTracer(capacity=3)
+        sim = TensorCoreSim(TPUV4I)
+        traced = sim.run_interpreted(self._program(), tracer=tracer)
+        assert len(tracer.spans) == 3
+        assert tracer.truncated
+        # A full tracer never changes the result.
+        assert traced.counters == sim.run_interpreted(
+            self._program()).counters
 
     def test_busy_cycles_by_unit(self):
-        trace = Trace()
-        trace.record(TraceEvent(0, 10, "mxu", "mxm"))
-        trace.record(TraceEvent(5, 8, "vpu", "vadd"))
-        assert trace.busy_cycles("mxu") == 10
-        assert trace.busy_cycles("vpu") == 3
-        assert trace.last_cycle() == 10
-
-    def test_render_limits(self):
-        trace = Trace()
-        for index in range(50):
-            trace.record(TraceEvent(index, index + 1, "mxu", "mxm"))
-        text = trace.render(limit=5)
-        assert "45 more events" in text
+        result = TensorCoreSim(TPUV4I).run(self._program(), trace=True)
+        us_per_cycle = 1e6 / TPUV4I.clock_hz
+        counters = result.counters
+        assert result.trace.busy_us("core", "mxu") == pytest.approx(
+            counters.mxu_busy_cycles * us_per_cycle)
+        assert result.trace.busy_us("core", "vpu") == pytest.approx(
+            counters.vpu_busy_cycles * us_per_cycle)
+        last_us = max(span.end_us for span in result.trace.spans)
+        assert last_us <= counters.cycles * us_per_cycle * (1 + 1e-12)
 
 
 class TestPerfReport:
