@@ -192,17 +192,21 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_duration(args: argparse.Namespace) -> None:
-    """Reject a ``--duration`` a sweep could never finish (NaN, inf, <= 0)."""
+def _check_traffic(args: argparse.Namespace) -> None:
+    """Reject a ``--duration`` or ``--utilization`` a sweep could never
+    finish with (NaN, inf, <= 0): an infinite load is an endless stream."""
     if not 0 < args.duration < math.inf:
         raise ValueError(f"--duration must be a finite number of seconds "
                          f"> 0, got {args.duration}")
+    if not 0 < args.utilization < math.inf:
+        raise ValueError(f"--utilization must be a finite number > 0, "
+                         f"got {args.utilization}")
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import FaultModel, fault_sweep
 
-    _check_duration(args)
+    _check_traffic(args)
     model = FaultModel(
         seed=args.seed,
         core_mtbf_s=args.core_mtbf if args.core_mtbf else math.inf,
@@ -239,7 +243,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import chaos_sweep
 
-    _check_duration(args)
+    _check_traffic(args)
     apps = tuple(args.apps.split(",")) if args.apps else ("cnn0",)
     rows = chaos_sweep(seed=args.seed, apps=apps, replicas=args.replicas,
                        duration_s=args.duration,
@@ -269,7 +273,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_pod(args: argparse.Namespace) -> int:
     from repro.pod import pod_chaos_sweep
 
-    _check_duration(args)
+    _check_traffic(args)
     apps = tuple(args.apps.split(",")) if args.apps else ("cnn0",)
     rows = pod_chaos_sweep(seed=args.seed, apps=apps, slices=args.slices,
                            slice_chips=args.slice_chips,
@@ -302,7 +306,7 @@ def _cmd_pod(args: argparse.Namespace) -> int:
 def _cmd_llm(args: argparse.Namespace) -> int:
     from repro.serving import llm_sweep
 
-    _check_duration(args)
+    _check_traffic(args)
     models = tuple(args.models.split(",")) if args.models else ("llm0", "llm1")
     if args.faults:
         return _cmd_llm_faults(args, models)
@@ -427,7 +431,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.serving import BatchPolicy, ServingSimulator, Slo
     from repro.workloads import RequestGenerator
 
-    _check_duration(args)
+    _check_traffic(args)
     spec = _resolve_app(args.app)
     chip = _resolve_chip(args.chip)
     with collecting_metrics() as registry:

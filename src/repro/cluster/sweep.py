@@ -110,7 +110,7 @@ def chaos_sweep(seed: int = 0, *,
         raise ValueError(
             f"duration must be finite and positive, got {duration_s}")
     if not 0 < utilization <= 1:
-        raise ValueError("utilization must be in (0, 1]")
+        raise ValueError(f"utilization must be in (0, 1], got {utilization}")
     if replicas < 2:
         raise ValueError("a chaos sweep needs at least 2 replicas")
     chip_list = tuple(chips) if chips is not None else GENERATIONS

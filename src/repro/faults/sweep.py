@@ -115,7 +115,7 @@ def fault_sweep(model: FaultModel, *,
         raise ValueError(
             f"duration must be finite and positive, got {duration_s}")
     if not 0 < utilization <= 1:
-        raise ValueError("utilization must be in (0, 1]")
+        raise ValueError(f"utilization must be in (0, 1], got {utilization}")
     app_names = tuple(apps) if apps is not None else DEFAULT_DSE_APPS
     chip_list = tuple(chips) if chips is not None else GENERATIONS
 

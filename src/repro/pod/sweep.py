@@ -180,7 +180,7 @@ def pod_chaos_sweep(seed: int = 0, *,
         raise ValueError(
             f"duration must be finite and positive, got {duration_s}")
     if not 0 < utilization <= 1:
-        raise ValueError("utilization must be in (0, 1]")
+        raise ValueError(f"utilization must be in (0, 1], got {utilization}")
     if slices < 2:
         raise ValueError("a pod chaos sweep needs at least 2 slices")
     if slice_chips < 2:

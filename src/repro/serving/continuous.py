@@ -829,7 +829,7 @@ def _sweep_pairs(seed: int, models: Sequence[str],
         raise ValueError(
             f"duration must be finite and positive, got {duration_s}")
     if not 0 < utilization <= 1:
-        raise ValueError("utilization must be in (0, 1]")
+        raise ValueError(f"utilization must be in (0, 1], got {utilization}")
     chip_list = tuple(chips) if chips is not None else GENERATIONS
 
     pairs: List[tuple] = []

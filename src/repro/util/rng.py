@@ -14,6 +14,11 @@ import numpy as np
 
 T = TypeVar("T")
 
+#: Most exponential gaps a Poisson stream draws at once.
+_CHUNK = 16_384
+#: Its first chunk; each later one is four times larger, up to _CHUNK.
+_FIRST_CHUNK = 64
+
 
 def _check_horizon(name: str, seconds: float) -> None:
     """Reject a NaN, infinite or negative horizon (NaN and inf never end)."""
@@ -50,43 +55,24 @@ class DeterministicRng:
             raise ValueError(f"mean must be positive, got {mean}")
         return float(self._gen.exponential(mean))
 
-    def poisson_arrivals(self, rate_per_s: float, duration_s: float) -> List[float]:
-        """Arrival timestamps of a Poisson process over [0, duration_s).
+    def uniforms(self, count: int) -> np.ndarray:
+        """``count`` samples from U[0, 1): the same draws, in the same
+        order, as ``count`` calls to :meth:`uniform`."""
+        return self._gen.uniform(0.0, 1.0, count)
 
-        Draws gaps in vectorized chunks but stays bit-identical to the
-        obvious scalar loop (``now += exp(); stop when now >= duration``):
-        numpy fills an array from the same stream element by element, a
-        running ``cumsum`` seeded with ``now`` performs the same float
-        additions in the same order, and when the terminating draw lands
-        mid-chunk the generator state is rewound and exactly the draws
-        the scalar loop would have consumed are re-drawn — so a later
-        caller of this generator sees an unchanged stream.
-        """
-        if rate_per_s <= 0:
-            raise ValueError(f"rate must be positive, got {rate_per_s}")
+    def poisson_arrivals(self, rate_per_s: float, duration_s: float) -> List[float]:
+        """Arrival timestamps of a Poisson process over [0, duration_s)."""
+        return self.poisson_arrival_array(rate_per_s, duration_s).tolist()
+
+    def poisson_arrival_array(self, rate_per_s: float,
+                              duration_s: float) -> np.ndarray:
+        """:meth:`poisson_arrivals` as a float64 array (same draws)."""
+        if not 0 < rate_per_s < math.inf:
+            raise ValueError(
+                f"rate must be finite and positive, got {rate_per_s}")
         _check_horizon("duration", duration_s)
-        mean = 1.0 / rate_per_s
-        gen = self._gen
-        bit_gen = gen.bit_generator
-        arrivals: List[float] = []
-        now = 0.0
-        chunk = 4096
-        while True:
-            state = bit_gen.state
-            gaps = gen.exponential(mean, chunk)
-            cum = np.cumsum(np.concatenate(((now,), gaps)))[1:]
-            stop = int(np.searchsorted(cum, duration_s, side="left"))
-            if stop < chunk:
-                # The terminating draw is inside this chunk: rewind and
-                # consume exactly stop+1 draws, as the scalar loop would.
-                bit_gen.state = state
-                tail = gen.exponential(mean, stop + 1)
-                if stop:
-                    cum = np.cumsum(np.concatenate(((now,), tail)))[1:]
-                    arrivals.extend(cum[:stop].tolist())
-                return arrivals
-            arrivals.extend(cum.tolist())
-            now = float(cum[-1])
+        return self._poisson_times(1.0 / rate_per_s, duration_s,
+                                   f"rate {rate_per_s}/s")
 
     def event_times(self, mean_interval_s: float,
                     horizon_s: float) -> List[float]:
@@ -97,19 +83,60 @@ class DeterministicRng:
         infinite mean interval — "this never fails" — returns an empty
         list without consuming any randomness.
         """
-        if mean_interval_s <= 0:
+        if not mean_interval_s > 0:
             raise ValueError(
                 f"mean interval must be positive, got {mean_interval_s}")
         _check_horizon("horizon", horizon_s)
         if math.isinf(mean_interval_s) or horizon_s <= 0:
             return []
-        times: List[float] = []
+        return self._poisson_times(mean_interval_s, horizon_s,
+                                   f"mean interval {mean_interval_s} s"
+                                   ).tolist()
+
+    def _poisson_times(self, mean: float, horizon: float,
+                       source: str) -> np.ndarray:
+        """Event times of ``now += exponential(mean)`` until ``now >=
+        horizon``, drawn in chunks but bit-identical to that scalar loop.
+
+        numpy fills an array from the same stream element by element,
+        and a running ``cumsum`` seeded with ``now`` performs the same
+        float additions in the same order. When the terminating draw
+        lands mid-chunk the generator state is rewound and exactly the
+        draws the scalar loop would have consumed are re-drawn, so a
+        later caller of this generator sees an unchanged stream. Chunks
+        start small (short streams pay for a few draws) and grow.
+        ``source`` names the caller's parameter in errors.
+        """
+        expected = horizon / mean
+        if expected >= 2.0**53:
+            raise ValueError(
+                f"{source} over {horizon} s asks for ~{expected:.3g} "
+                "events, more than a float64 clock can step through")
+        gen = self._gen
+        bit_gen = gen.bit_generator
+        chunks: List[np.ndarray] = []
         now = 0.0
+        size = _FIRST_CHUNK
         while True:
-            now += float(self._gen.exponential(mean_interval_s))
-            if now >= horizon_s:
-                return times
-            times.append(now)
+            state = bit_gen.state
+            times = gen.exponential(mean, size)
+            times[0] += now
+            np.cumsum(times, out=times)
+            stop = int(times.searchsorted(horizon))
+            if stop < size:
+                # The terminating draw is inside this chunk: rewind and
+                # consume exactly stop+1 draws, as the scalar loop would.
+                bit_gen.state = state
+                gen.exponential(mean, stop + 1)
+                chunks.append(times[:stop])
+                return np.concatenate(chunks)
+            if times[-1] == now:
+                raise ValueError(
+                    f"{source}: the clock stopped advancing at {now} s, "
+                    "gaps fall below its float64 resolution")
+            chunks.append(times)
+            now = float(times[-1])
+            size = min(4 * size, _CHUNK)
 
     def lognormal(self, mean: float, sigma: float = 0.25) -> float:
         """A positive sample with the given *linear-space* mean.

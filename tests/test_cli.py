@@ -219,21 +219,48 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
 
 
+#: Subcommands that generate traffic from --duration and --utilization.
+_TRAFFIC_COMMANDS = ["cluster", "faults", "pod", "llm", "metrics"]
+
+
+def _run_repro(*args):
+    """``python -m repro ARGS`` in a child capped at 2 GiB and 10 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True, text=True, timeout=10, env=env,
+        preexec_fn=_limit_memory)
+
+
 class TestHostileInputs:
     """Inputs that once hung or misreported: exit 2, naming the value."""
 
     @pytest.mark.parametrize("command", ["cluster", "faults", "pod", "llm"])
     @pytest.mark.parametrize("duration", ["nan", "inf"])
     def test_endless_duration_exits_2(self, command, duration):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (_SRC, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", command, "--duration", duration],
-            capture_output=True, text=True, timeout=10, env=env,
-            preexec_fn=_limit_memory)
+        proc = _run_repro(command, "--duration", duration)
         assert proc.returncode == 2, proc.stderr
         assert f"got {duration}" in proc.stderr
+
+    @pytest.mark.parametrize("command", _TRAFFIC_COMMANDS)
+    @pytest.mark.parametrize("utilization", ["nan", "inf"])
+    def test_endless_utilization_exits_2(self, command, utilization):
+        # metrics at --utilization inf once grew memory until killed.
+        proc = _run_repro(command, "--utilization", utilization,
+                          "--duration", "0.1")
+        assert proc.returncode == 2, proc.stderr
+        assert f"got {utilization}" in proc.stderr
+
+    @pytest.mark.parametrize("command", _TRAFFIC_COMMANDS)
+    @pytest.mark.parametrize("utilization", ["0", "-0.5"])
+    def test_nonpositive_utilization_names_the_callers_value(
+            self, capsys, command, utilization):
+        assert main([command, "--utilization", utilization,
+                     "--duration", "0.1"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.endswith(f"got {float(utilization)}")
 
     @pytest.mark.parametrize("args, seed", [
         (["cluster"], "-5"),

@@ -2,9 +2,30 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.util.rng import DeterministicRng
+
+
+class _ZeroGaps:
+    """A stand-in numpy generator whose exponential gaps are all 0.
+
+    Gives out a bounded number of chunks, so a stream that fails to
+    notice the stalled clock fails the test instead of hanging it.
+    """
+
+    class bit_generator:
+        state = None
+
+    def __init__(self):
+        self.chunks = 0
+
+    def exponential(self, mean, size):
+        self.chunks += 1
+        if self.chunks > 100:
+            raise RuntimeError("stalled clock went unnoticed")
+        return np.zeros(size)
 
 
 class TestDeterminism:
@@ -52,6 +73,37 @@ class TestDistributions:
     def test_event_times_rejects_endless_horizon(self, horizon):
         with pytest.raises(ValueError, match=str(horizon)):
             DeterministicRng(0).event_times(1.0, horizon)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -5.0])
+    def test_poisson_rejects_unusable_rate(self, rate):
+        # inf once grew memory without bound and nan returned [].
+        with pytest.raises(ValueError, match=f"got {rate}$"):
+            DeterministicRng(0).poisson_arrivals(rate, 1.0)
+
+    @pytest.mark.parametrize("mean", [math.nan, 0.0, -1.0])
+    def test_event_times_rejects_unusable_mean(self, mean):
+        with pytest.raises(ValueError, match=f"got {mean}$"):
+            DeterministicRng(0).event_times(mean, 1.0)
+
+    def test_rate_beyond_clock_resolution_is_refused(self):
+        # 1e300 arrivals/s once ran until MemoryError.
+        with pytest.raises(ValueError, match="rate 1e[+]300/s"):
+            DeterministicRng(0).poisson_arrivals(1e300, 1.0)
+        with pytest.raises(ValueError, match="mean interval 1e-300 s"):
+            DeterministicRng(0).event_times(1e-300, 1.0)
+
+    def test_stalled_clock_raises_instead_of_looping(self):
+        # Gaps too small to move the clock: every chunk ends where it
+        # started, so the stream would never reach its horizon.
+        rng = DeterministicRng(0)
+        rng._gen = _ZeroGaps()
+        with pytest.raises(ValueError, match="stopped advancing at 0.0 s"):
+            rng.poisson_arrivals(100.0, 1.0)
+
+    def test_uniforms_are_the_scalar_stream(self):
+        rng, ref = DeterministicRng(9), DeterministicRng(9)
+        assert rng.uniforms(100).tolist() == [ref.uniform()
+                                              for _ in range(100)]
 
     def test_zero_horizon_is_empty(self):
         assert DeterministicRng(0).poisson_arrivals(100.0, 0.0) == []

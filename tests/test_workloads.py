@@ -164,6 +164,24 @@ class TestGenerator:
         second = len(reqs) - first
         assert first > 1.3 * second  # sine peaks in the first half
 
+    @pytest.mark.parametrize("kwargs, shown", [
+        ({"mean_rate_qps": -5}, "got -5"),  # once reported the peak, -7.5
+        ({"mean_rate_qps": 0.0}, "got 0.0"),
+        ({"mean_rate_qps": float("nan")}, "got nan"),
+        ({"mean_rate_qps": float("inf")}, "got inf"),
+        ({"peak_to_trough": 0.5}, "got 0.5"),
+        ({"peak_to_trough": float("nan")}, "got nan"),  # once 0 requests
+        ({"peak_to_trough": float("inf")}, "got inf"),
+        ({"period_s": 0.0}, "got 0.0"),  # once a bare ZeroDivisionError
+        ({"period_s": -1.0}, "got -1.0"),
+        ({"period_s": float("nan")}, "got nan"),
+        ({"period_s": float("inf")}, "got inf"),
+    ])
+    def test_diurnal_names_the_callers_bad_value(self, kwargs, shown):
+        args = {"mean_rate_qps": 100.0, "duration_s": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=f"{shown}$"):
+            RequestGenerator(0).diurnal("t", **args)
+
     def test_request_validation(self):
         with pytest.raises(ValueError):
             Request(-1.0, "t")
