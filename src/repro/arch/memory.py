@@ -76,7 +76,7 @@ class MemorySystem:
         if chip.has_cmem:
             self.cmem = MemoryLevel("cmem", chip.cmem_bytes, chip.cmem_bw,
                                     chip.cmem_latency_cycles)
-        self._traffic: Dict[str, float] = {level.name: 0.0 for level in self.levels()}
+        self._traffic: Dict[str, int] = {level.name: 0 for level in self.levels()}
 
     def levels(self) -> List[MemoryLevel]:
         """All levels, fastest first."""
@@ -120,19 +120,23 @@ class MemorySystem:
 
     # --------------------------------------------------------------- traffic
 
-    def record_traffic(self, name: str, num_bytes: float) -> None:
-        """Log bytes moved at a level (feeds the power model)."""
+    def record_traffic(self, name: str, num_bytes: int) -> None:
+        """Log bytes moved at a level (feeds the power model).
+
+        Bytes accumulate as exact integers and are rounded to float once,
+        in :meth:`traffic`, so totals past 2^53 bytes match FastReplay's.
+        """
         if num_bytes < 0:
             raise ValueError("bytes must be non-negative")
         self.level(name)  # validate
-        self._traffic[name] = self._traffic.get(name, 0.0) + num_bytes
+        self._traffic[name] = self._traffic.get(name, 0) + num_bytes
 
     def traffic(self) -> Dict[str, float]:
         """Bytes moved per level since construction/reset."""
-        return dict(self._traffic)
+        return {name: float(moved) for name, moved in self._traffic.items()}
 
     def reset_traffic(self) -> None:
-        self._traffic = {level.name: 0.0 for level in self.levels()}
+        self._traffic = {level.name: 0 for level in self.levels()}
 
     # ---------------------------------------------------------------- timing
 

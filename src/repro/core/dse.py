@@ -38,8 +38,22 @@ from repro.workloads.models import PRODUCTION_APPS, WorkloadSpec
 DEFAULT_DSE_APPS: tuple[str, ...] = ("mlp1", "cnn0", "rnn0", "bert0")
 
 
-def _apps(names: Sequence[str]) -> list[WorkloadSpec]:
+def resolve_apps(names: Sequence[str]) -> list[WorkloadSpec]:
+    """The app specs a DSE entry point evaluates, in the caller's order.
+
+    Raises ValueError naming the caller's value for an empty app set
+    (its geomean is undefined) or a name outside the production apps.
+    """
+    names = tuple(names)
+    if not names:
+        raise ValueError(
+            f"app_names must name at least one app, got {names!r}")
     by_name = {w.name: w for w in PRODUCTION_APPS}
+    for name in names:
+        if name not in by_name:
+            known = ", ".join(sorted(by_name))
+            raise ValueError(
+                f"unknown app {name!r} in app_names; known: {known}")
     return [by_name[n] for n in names]
 
 
@@ -123,15 +137,31 @@ def enumerate_candidates(
         cmem_mib_options: Sequence[int] = (0, 64, 128),
         clocks_ghz: Sequence[float] = (1.05,),
 ) -> list[ChipConfig]:
-    """The candidate grid around the TPUv4i design point."""
-    grid: list[ChipConfig] = []
+    """The candidate grid around the TPUv4i design point.
+
+    Every option is checked before any chip is built; a NaN, an infinity
+    or an out-of-range value raises ValueError naming it.
+    """
+    mxu_counts = tuple(mxu_counts)
+    cmem_mib_options = tuple(cmem_mib_options)
+    clocks_ghz = tuple(clocks_ghz)
     for mxus in mxu_counts:
-        for cmem in cmem_mib_options:
-            for clock in clocks_ghz:
-                if mxus <= 0 or cmem < 0 or clock <= 0:
-                    raise ValueError("bad candidate parameters")
-                grid.append(_variant(mxus, cmem, clock))
-    return grid
+        if not math.isfinite(mxus) or mxus <= 0:
+            raise ValueError(
+                f"MXU count must be finite and positive, got {mxus!r}")
+    for cmem in cmem_mib_options:
+        if not math.isfinite(cmem) or cmem < 0:
+            raise ValueError(
+                f"CMEM size must be finite and non-negative MiB, "
+                f"got {cmem!r}")
+    for clock in clocks_ghz:
+        if not math.isfinite(clock) or clock <= 0:
+            raise ValueError(
+                f"clock must be finite and positive GHz, got {clock!r}")
+    return [_variant(mxus, cmem, clock)
+            for mxus in mxu_counts
+            for cmem in cmem_mib_options
+            for clock in clocks_ghz]
 
 
 def candidate_from_evaluations(chip: ChipConfig,
@@ -160,7 +190,7 @@ def evaluate_candidate(chip: ChipConfig,
                        ) -> DesignCandidate:
     """Evaluate one candidate on the app set (geomean chip QPS) + TDP."""
     point = shared_design_point(chip, version)
-    evaluations = [point.evaluate(spec) for spec in _apps(app_names)]
+    evaluations = [point.evaluate(spec) for spec in resolve_apps(app_names)]
     return candidate_from_evaluations(chip, evaluations)
 
 
@@ -177,7 +207,7 @@ def evaluate_candidates_grid(chips: Sequence[ChipConfig],
     to ``[evaluate_candidate(c, app_names, version) for c in chips]``.
     """
     from repro.engine.grid import GridJob, evaluate_jobs
-    specs = _apps(app_names)
+    specs = resolve_apps(app_names)
     jobs = [GridJob(shared_design_point(chip, version), spec)
             for chip in chips for spec in specs]
     evaluations = evaluate_jobs(jobs)
@@ -193,10 +223,12 @@ def evaluate_candidates(chips: Sequence[ChipConfig],
                         *, version: CompilerVersion = LATEST,
                         workers: Optional[int] = None
                         ) -> list[DesignCandidate]:
-    """Evaluate a grid, fanning out over the engine's process pool.
+    """Evaluate a grid, sharded over the engine's process pool.
 
-    ``workers=None`` sizes the pool to the machine; ``workers=1`` runs the
-    serial reference loop. Either way results are ordered like ``chips``
+    ``workers=None`` sizes the pool to the machine, and each pool task is
+    one app on the chips that share compile content
+    (:mod:`repro.engine.sweeps`); ``workers=1`` runs the whole grid as
+    one in-process batch. Either way results are ordered like ``chips``
     and identical to ``[evaluate_candidate(c, app_names) for c in chips]``.
     """
     from repro.engine.sweeps import evaluate_candidates as _sweep

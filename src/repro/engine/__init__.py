@@ -12,8 +12,9 @@ DesignPoint`, and DesignPoint funnels it through this package:
 * :mod:`repro.engine.modules` — chip-independent built-module sharing;
 * :mod:`repro.engine.parallel` — :class:`ParallelSweeper`, the
   deterministic process-pool fan-out with order-preserving merge;
-* :mod:`repro.engine.sweeps` — parallel candidate/CMEM/batch-latency
-  sweeps used by ``repro.core.dse`` and the serving simulator;
+* :mod:`repro.engine.sweeps` — the candidate sweep (sharded one
+  distinct compile per pool task) and the CMEM/batch-latency sweeps used
+  by ``repro.core.dse`` and the serving simulator;
 * :mod:`repro.engine.bench` — the serial-vs-parallel-vs-warm benchmark
   behind ``repro engine bench`` and ``BENCH_engine.json``.
 

@@ -1,7 +1,9 @@
 """ParallelSweeper: deterministic process-parallel fan-out.
 
-Evaluating one design candidate is pure CPU work with no shared state,
-so sweeps fan out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+A sweep task — one distinct compile of the DSE grid, one CMEM capacity,
+one batch size (:mod:`repro.engine.sweeps` picks the unit) — is pure CPU
+work with no shared state, so sweeps fan out over a
+:class:`~concurrent.futures.ProcessPoolExecutor`.
 Three properties the engine guarantees:
 
 * **order-preserving merge** — results come back in input order

@@ -11,31 +11,49 @@ When a sweep would run serially (one effective worker), it is dispatched
 as **one batched grid evaluation** through :mod:`repro.engine.grid`
 instead of a per-point loop: same results, same cache contents, one
 vectorized kernel pass; ``gridsim_disabled()`` restores the literal loops.
+
+The candidate sweep shards that grid path across the pool rather than
+fanning out one chip per task: chips are grouped by
+:func:`~repro.engine.grid.compile_chip_fingerprint`, and each pool task
+is one distinct compile — one app on one group — evaluated as one grid
+batch in the worker. A sweep over clock or MXU count thus compiles once
+per (app, compile content), not once per point. The CMEM-capacity and
+batch-latency pool sweeps stay one point per task: sharding them the
+same way was measured on a 2-CPU box and did not pay (``bert0``'s
+17-capacity sweep tied at 0.138 s; its 9-batch latency sweep went from
+0.545 to 0.722 s), since every point there is its own compile.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.engine.grid import compile_chip_fingerprint
 from repro.engine.parallel import ParallelSweeper
 from repro.obs.metrics import metrics
 from repro.sim.gridkernel import gridsim_enabled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.arch.chip import ChipConfig
+    from repro.compiler.versions import CompilerVersion
+    from repro.core.design_point import Evaluation
     from repro.core.dse import DesignCandidate
     from repro.workloads.models import WorkloadSpec
 
 
 # ----------------------------------------------------------- candidate sweep
 
-def _candidate_task(args: tuple["ChipConfig", tuple[str, ...], str]
-                    ) -> "DesignCandidate":
-    chip, app_names, version_name = args
-    from repro.compiler.versions import release_by_name
-    from repro.core.dse import evaluate_candidate
-    return evaluate_candidate(chip, app_names,
-                              version=release_by_name(version_name))
+def _shard_task(args: tuple[str, tuple["ChipConfig", ...], "CompilerVersion"]
+                ) -> list["Evaluation"]:
+    """One app on chips that share compile content: one compile, one batch."""
+    app, chips, release = args
+    from repro.core.design_point import shared_design_point
+    from repro.engine.grid import GridJob, evaluate_jobs
+    from repro.workloads.models import app_by_name
+    spec = app_by_name(app)
+    return evaluate_jobs([GridJob(shared_design_point(chip, release), spec)
+                          for chip in chips])
 
 
 def evaluate_candidates(chips: Sequence["ChipConfig"],
@@ -44,10 +62,10 @@ def evaluate_candidates(chips: Sequence["ChipConfig"],
                         workers: Optional[int] = None,
                         chunk_size: Optional[int] = None
                         ) -> list["DesignCandidate"]:
-    """Evaluate a candidate grid, fanning out over processes.
+    """Evaluate a candidate grid, sharded over processes.
 
     ``workers=None`` uses the available CPUs; ``workers=1`` is the serial
-    reference path. Results are ordered like ``chips`` and bit-identical
+    grid path. Results are ordered like ``chips`` and bit-identical
     across worker counts.
     """
     from repro.compiler.versions import LATEST
@@ -55,12 +73,39 @@ def evaluate_candidates(chips: Sequence["ChipConfig"],
     names = tuple(app_names) if app_names is not None else DEFAULT_DSE_APPS
     release = version if version is not None else LATEST
     sweeper = ParallelSweeper(workers=workers, chunk_size=chunk_size)
-    tasks = [(chip, names, release.name) for chip in chips]
-    metrics().count("engine.sweeps.candidates", len(tasks))
+    return _evaluate_candidates(sweeper, list(chips), names, release)
+
+
+def _evaluate_candidates(sweeper: ParallelSweeper,
+                         chips: list["ChipConfig"], names: tuple[str, ...],
+                         release: "CompilerVersion"
+                         ) -> list["DesignCandidate"]:
+    """:func:`evaluate_candidates` with the sweeper supplied by the caller.
+
+    One task per (app, compile-content group), app-major; each task's
+    evaluations are folded back per chip in app order, so every
+    candidate is :func:`~repro.core.dse.candidate_from_evaluations` over
+    the same records the serial grid path produces.
+    """
+    from repro.core.dse import (candidate_from_evaluations,
+                                evaluate_candidates_grid, resolve_apps)
+    resolve_apps(names)  # bad names raise here, before any dispatch
+    groups: dict[str, list[int]] = {}
+    for i, chip in enumerate(chips):
+        groups.setdefault(compile_chip_fingerprint(chip), []).append(i)
+    shards = list(groups.values())
+    tasks = [(name, tuple(chips[i] for i in shard), release)
+             for name, shard in product(names, shards)]
+    metrics().count("engine.sweeps.candidates", len(chips))
     if sweeper.effective_workers(len(tasks)) <= 1 and gridsim_enabled():
-        from repro.core.dse import evaluate_candidates_grid
-        return evaluate_candidates_grid(list(chips), names, release)
-    return sweeper.map_cached(_candidate_task, tasks)
+        return evaluate_candidates_grid(chips, names, release)
+    per_chip: list[list["Evaluation"]] = [[] for _ in chips]
+    results = sweeper.map_cached(_shard_task, tasks)
+    for (_, shard), evaluations in zip(product(names, shards), results):
+        for i, evaluation in zip(shard, evaluations):
+            per_chip[i].append(evaluation)
+    return [candidate_from_evaluations(chip, evaluations)
+            for chip, evaluations in zip(chips, per_chip)]
 
 
 # ---------------------------------------------------------------- CMEM sweep

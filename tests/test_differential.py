@@ -71,6 +71,8 @@ def _assert_three_way(program, chip, dtype, *, expect_fallback):
     assert grid_kernel_stats().fallback_points - fallbacks == expect_fallback
     for result in (fast, grid):
         assert result.cycles == interp.cycles
+        assert (result.counters.bytes_by_level
+                == interp.counters.bytes_by_level)
         assert result.counters == interp.counters
         assert result.report == interp.report
 
@@ -92,16 +94,22 @@ class TestChipTimingDifferential:
 
         tanh costs 8 ALU ops per element, so 2^49 elements cross the grid
         kernel's exactness limit while the VMEM byte total (2^51 on top
-        of the MLP's own traffic) stays an exact float.
+        of the MLP's own traffic) stays an exact float. A 2^52-element
+        add moves 2^54 VMEM bytes at bf16 (2^53 at int8), so the total
+        with the MLP's own traffic is no longer a float: every path must
+        sum exact integer bytes and round once, as FastReplay does.
         """
         module, _ = spec
         compiled = _program_for(module, chip)
-        program = Program(compiled.name, generation=compiled.generation)
-        program.extend(compiled.bundles[:-1])
-        program.append(Bundle((Instruction(Opcode.VTANH, (2**49,)),)))
-        program.extend(compiled.bundles[-1:])
         dtype = "bf16" if chip.supports_dtype("bf16") else "int8"
-        _assert_three_way(program, chip, dtype, expect_fallback=1)
+        for opcode, elements in ((Opcode.VTANH, 2**49),
+                                 (Opcode.VADD, 2**52)):
+            program = Program(compiled.name,
+                              generation=compiled.generation)
+            program.extend(compiled.bundles[:-1])
+            program.append(Bundle((Instruction(opcode, (elements,)),)))
+            program.extend(compiled.bundles[-1:])
+            _assert_three_way(program, chip, dtype, expect_fallback=1)
 
 
 @contextmanager

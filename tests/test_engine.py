@@ -9,13 +9,18 @@ and the simulator reentrancy the process pool relies on.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
+import re
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.chip import TPUV4I
-from repro.compiler.versions import RELEASES
+from repro.compiler.versions import LATEST, RELEASES
 from repro.core.design_point import (
     DesignPoint,
     clear_shared_design_points,
@@ -26,6 +31,7 @@ from repro.core.dse import (
     enumerate_candidates,
     evaluate_candidate,
     evaluate_candidates,
+    evaluate_candidates_grid,
     pareto_frontier,
 )
 from repro.engine import (
@@ -37,10 +43,14 @@ from repro.engine import (
     eval_key,
 )
 from repro.engine.cache import get_cache, set_cache
+from repro.engine.grid import compile_chip_fingerprint
+from repro.engine.lowered import clear_lowered
+from repro.engine.sweeps import _evaluate_candidates
 from repro.serving.batching import BatchPolicy
 from repro.serving.server import ServingSimulator
 from repro.serving.slo import Slo
 from repro.sim.core import TensorCoreSim
+from repro.sim.gridkernel import clear_grid_kernel, gridsim_disabled
 from repro.util.units import MIB
 from repro.workloads.models import app_by_name
 
@@ -226,6 +236,134 @@ class TestParallelSweeper:
         again = evaluate_candidates(grid, ("mlp0",), workers=1)
         assert cache.stats.hits > hits_before
         assert again == evaluate_candidates(grid, ("mlp0",), workers=1)
+
+
+@contextmanager
+def _cold_engine():
+    """A fresh, enabled EvalCache and empty memo/lowering/kernel caches."""
+    previous = set_cache(EvalCache())
+    clear_shared_design_points()
+    clear_lowered()
+    clear_grid_kernel()
+    try:
+        yield get_cache()
+    finally:
+        set_cache(previous)
+        clear_shared_design_points()
+
+
+def _sharded(chips, apps):
+    """The pool's sharded fold, forced on whatever the CPU count."""
+    sweeper = ParallelSweeper(workers=2, force_parallel=True)
+    return _evaluate_candidates(sweeper, list(chips), tuple(apps), LATEST)
+
+
+class TestShardedCandidateSweep:
+    """The pool path (one task per distinct compile) against both
+    references: the serial grid batch and the per-point loop."""
+
+    @given(clocks=st.lists(st.sampled_from((0.95, 1.05, 1.15)),
+                           min_size=1, max_size=2, unique=True),
+           mxus=st.lists(st.sampled_from((2, 4, 8)),
+                         min_size=2, max_size=3, unique=True),
+           cmems=st.lists(st.sampled_from((0, 64, 128)),
+                          min_size=1, max_size=2, unique=True),
+           apps=st.lists(st.sampled_from(GRID_APPS),
+                         min_size=1, max_size=2, unique=True))
+    @settings(max_examples=6, deadline=None)
+    def test_sharded_equals_serial_grid_and_per_point(self, clocks, mxus,
+                                                      cmems, apps):
+        chips = enumerate_candidates(mxus, cmems, clocks)
+        # Two MXU counts per (clock, CMEM): chips share compile content.
+        assert (len({compile_chip_fingerprint(c) for c in chips})
+                < len(chips))
+        with _cold_engine():
+            sharded = _sharded(chips, apps)
+        with _cold_engine():
+            grid = evaluate_candidates_grid(chips, apps, LATEST)
+        with _cold_engine(), gridsim_disabled():
+            per_point = [evaluate_candidate(c, apps) for c in chips]
+        assert sharded == grid == per_point
+        assert [c.chip.name for c in sharded] == [c.name for c in chips]
+
+    def test_sharded_fallback_inside_gridsim_disabled(self):
+        """Workers fall back to per-point evaluation, same records."""
+        chips = enumerate_candidates((2, 4), (0, 64), (1.05,))
+        with _cold_engine():
+            grid = evaluate_candidates_grid(chips, GRID_APPS, LATEST)
+        with _cold_engine(), gridsim_disabled():
+            sharded = _sharded(chips, GRID_APPS)
+        assert sharded == grid
+
+    def test_cold_parallel_cache_equals_cold_serial_cache(self):
+        """The parent holds every point's sim and eval record, as serial."""
+        chips = enumerate_candidates((2, 4), (0, 64), (0.95, 1.05))
+        with _cold_engine() as cache:
+            evaluate_candidates(chips, GRID_APPS, workers=1)
+            serial = cache.export_since(frozenset())
+        with _cold_engine() as cache:
+            _sharded(chips, GRID_APPS)
+            parallel = cache.export_since(frozenset())
+        assert set(parallel) == set(serial)
+        assert parallel == serial
+        expected = set()
+        for chip in chips:
+            point = DesignPoint(chip, LATEST)
+            for app in GRID_APPS:
+                spec = app_by_name(app)
+                expected.add(point.result_key(spec, spec.default_batch))
+                expected.add(point.evaluation_key(spec, spec.default_batch))
+        assert set(serial) == expected
+
+
+_CANDIDATE_ENTRY_POINTS = {
+    "serial": lambda chips, apps: evaluate_candidates(chips, apps,
+                                                      workers=1),
+    "pool": _sharded,
+    "grid": lambda chips, apps: evaluate_candidates_grid(chips, apps),
+    "single": lambda chips, apps: evaluate_candidate(chips[0], apps),
+}
+
+
+class TestDseInputValidation:
+    """Bad DSE input raises ValueError naming the caller's own value."""
+
+    @pytest.mark.parametrize("entry", sorted(_CANDIDATE_ENTRY_POINTS))
+    @pytest.mark.parametrize("apps,named", [
+        ((), "()"),
+        (("nope",), "'nope'"),
+        (("mlp0", "nope"), "'nope'"),
+    ])
+    def test_bad_app_set_rejected(self, entry, apps, named):
+        chips = enumerate_candidates((2,), (64,))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            _CANDIDATE_ENTRY_POINTS[entry](chips, apps)
+
+    @pytest.mark.parametrize("apps", [(), ("nope",)])
+    def test_serial_and_pool_messages_identical(self, apps):
+        chips = enumerate_candidates((2, 4), (64,))
+        messages = set()
+        for entry in ("serial", "pool"):
+            with pytest.raises(ValueError) as excinfo:
+                _CANDIDATE_ENTRY_POINTS[entry](chips, apps)
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("axis,value", [
+        ("clocks_ghz", math.nan),
+        ("clocks_ghz", math.inf),
+        ("clocks_ghz", -math.inf),
+        ("clocks_ghz", 0.0),
+        ("cmem_mib_options", math.nan),
+        ("cmem_mib_options", math.inf),
+        ("cmem_mib_options", -1),
+        ("mxu_counts", math.nan),
+        ("mxu_counts", 0),
+    ])
+    def test_enumerate_rejects_non_finite_and_out_of_range(self, axis,
+                                                           value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            enumerate_candidates(**{axis: (value,)})
 
 
 class TestDseThroughEngine:
