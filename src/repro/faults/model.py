@@ -130,8 +130,9 @@ class FaultSchedule:
         repaired at the instant the interval ends).
 
         Overlapping outages (a core failure inside a chip outage) return
-        the latest covering end, so a caller waiting it out never lands
-        inside another known interval.
+        the latest end among the intervals covering ``t``. An outage
+        that starts after ``t`` may still cover that end, so a caller
+        waiting it out must ask again at the end.
         """
         end: Optional[float] = None
         for start, stop in self._down_by_core[core]:

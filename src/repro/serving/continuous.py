@@ -55,18 +55,36 @@ delta re-prefill), every token recomputed after a loss, and every token
 a snapshot recovered; ``goodput_fraction`` is generated ÷ computed —
 1.0 exactly on a faultless run.
 
-This event loop IS the reference path: there is no vectorized twin
-(``fastserve_disabled()`` does not apply here), and the byte-identity
-contract is two-fold — run-to-run determinism (asserted in the engine
-bench and CI by diffing two ``repro llm`` runs), and a zero-checkpoint
-zero-fault :class:`~repro.serving.recovery.RecoveryPolicy` being
-bit-identical to running with no policy at all (the same contract style
-as the replay-vs-reference identity checks).
+Most engine steps are decodes over an unchanged batch, so the loop
+repeats a decode step as a *decode run* (one ``now += latency`` add per
+step, counters committed in bulk) while the next step provably has the
+same members, price and fate:
+
+* no slot retires and no snapshot falls due before it;
+* no arrival is admissible while a slot is free;
+* the KV bucket of the deepest sequence is unchanged;
+* it starts and completes inside the core's current fault-schedule
+  window (no outage or slowdown boundary in between);
+* the run did not launch inside an outage (the known fault below).
+
+Every :class:`ContinuousStats` is therefore bit-identical to the
+step-at-a-time loop, kept as the differential reference in
+``tests/oracle/continuous.py``. The other identity contracts are
+run-to-run determinism (CI diffs two ``repro llm`` runs, and
+``tests/test_cli.py`` pins their digests) and a zero-checkpoint
+zero-fault :class:`~repro.serving.recovery.RecoveryPolicy` matching no
+policy at all.
+
+One known fault is kept so results stay comparable: after waiting out
+an outage the engine launches at its end without asking again, so if a
+second outage began inside the first and outlasts it, that step runs
+on a down core.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, List, Mapping, Optional, Sequence, \
@@ -103,8 +121,12 @@ class GenerativeSlo:
     pct: float = 99.0
 
     def __post_init__(self) -> None:
-        if self.ttft_s <= 0 or self.per_token_s <= 0:
-            raise ValueError("SLO budgets must be positive")
+        for name in ("ttft_s", "per_token_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # phrased to reject NaN too
+                raise ValueError(
+                    f"SLO budget {name} must be finite and positive, "
+                    f"got {value}")
         if not 0 < self.pct <= 100:
             raise ValueError("percentile must be in (0, 100]")
 
@@ -246,11 +268,13 @@ class _Pending:
 class _Slot:
     """One admitted request's engine-side state (mutable, loop-internal)."""
 
-    __slots__ = ("request", "retries", "produced", "target", "prefill_t",
-                 "snap", "high_water", "restore_pending", "order")
+    __slots__ = ("request", "prompt_len", "retries", "produced", "target",
+                 "prefill_t", "snap", "high_water", "restore_pending",
+                 "order")
 
     def __init__(self, entry: _Pending, target: int) -> None:
         self.request = entry.request
+        self.prompt_len = entry.request.prompt_len
         self.retries = entry.retries
         self.produced = entry.produced  # tokens generated so far
         self.target = target            # decode_len capped at max_decode_len
@@ -303,13 +327,14 @@ class ContinuousBatchingSimulator:
         self.spec = spec
         self.slots = slots if slots is not None else spec.default_slots
         if self.slots < 1:
-            raise ValueError("slots must be >= 1")
+            raise ValueError(f"slots must be >= 1, got {self.slots}")
         self.slo = slo if slo is not None else GenerativeSlo(
             spec.slo_ttft_ms / 1e3, spec.slo_per_token_ms / 1e3)
         self.max_decode_len = (max_decode_len if max_decode_len is not None
                                else spec.max_decode_len)
         if self.max_decode_len < 1:
-            raise ValueError("max_decode_len must be >= 1")
+            raise ValueError(
+                f"max_decode_len must be >= 1, got {self.max_decode_len}")
         self.recovery = recovery
         # Decode batches pad to the same power-of-two ladder the classic
         # batcher compiles for; the policy also rejects padded_size(0),
@@ -352,13 +377,16 @@ class ContinuousBatchingSimulator:
         :func:`~repro.serving.recovery.snapshot_latency_table`, or a
         synthetic table in tests.
         """
-        for (phase, _bucket, batch), latency in table.items():
+        for key, latency in table.items():
+            phase, _bucket, batch = key
             if phase not in ("prefill", "decode", "snapshot"):
                 raise ValueError(f"unknown phase {phase!r}")
             if batch < 1:
                 raise ValueError("batch must be >= 1")
-            if latency < 0:
-                raise ValueError("latency must be non-negative")
+            if not 0 <= latency < math.inf:  # phrased to reject NaN too
+                raise ValueError(
+                    f"latency for {key!r} must be finite and non-negative, "
+                    f"got {latency}")
         self._latency.update(table)
 
     def _restore_latency_s(self, slot: _Slot) -> float:
@@ -531,78 +559,125 @@ class ContinuousBatchingSimulator:
                   schedule: Optional["FaultSchedule"], retry_budget: int,
                   retry_timeout: float, acc: _Accumulator,
                   migrants_out: Optional[List[_Pending]]) -> None:
-        """One core's engine loop over its (possibly merged) queue."""
+        """One core's engine loop over its (possibly merged) queue.
+
+        One step per iteration, except decode runs (module docstring).
+        """
+        slots = self.slots
+        every = (self.recovery.checkpoint_every
+                 if self.recovery is not None else 0)
+        # Local latency memos: prefill by prompt length, decode and
+        # snapshot by (KV bucket, batch); misses go to step_latency_s.
+        prefill_latency: dict[int, float] = {}
+        decode_latency: dict[Tuple[int, int], float] = {}
+        snapshot_latency: dict[Tuple[int, int], float] = {}
+        # Schedule window [.., win_end): no outage or slowdown boundary of
+        # this core lies inside it, so the outage end and slowdown factor
+        # found in it hold throughout, and a step that completes by
+        # win_end cannot be killed. Without a schedule it never ends.
+        bounds = sorted({t for c, start, end, *_
+                         in schedule.down + schedule.slowdowns
+                         if c == core for t in (start, end)}
+                        ) if schedule is not None else []
+
+        def window(t: float) -> Tuple[float, Optional[float], float]:
+            index = bisect_right(bounds, t)
+            return (bounds[index] if index < len(bounds) else math.inf,
+                    schedule.outage_end(core, t),
+                    schedule.slowdown_factor(core, t))
+
+        win_end = -math.inf if schedule is not None else math.inf
+        down_until: Optional[float] = None
+        factor = 1.0
         active: List[_Slot] = []
+        waiting = 0  # active slots owed a prefill or a restore
         now = 0.0
 
         while pending or active:
             if not active and pending:
                 now = max(now, pending[0].ready_s)
 
-            if schedule is not None:
-                down_until = schedule.outage_end(core, now)
-                if down_until is not None:
-                    if math.isinf(down_until):
-                        self._lose_core(active, pending, now, retry_budget,
-                                        retry_timeout, acc, migrants_out)
-                        return
-                    now = down_until
+            if now >= win_end and schedule is not None:
+                win_end, down_until, factor = window(now)
+            if down_until is not None:
+                if math.isinf(down_until):
+                    self._lose_core(active, pending, now, retry_budget,
+                                    retry_timeout, acc, migrants_out)
+                    return
+                # Launch at the repair instant without asking again (the
+                # known fault); if down_until is still set, no run starts.
+                now = down_until
+                win_end, down_until, factor = window(now)
 
             # Admission: ready requests claim free slots FIFO. A
             # retried request whose re-admission would already exceed
             # the retry timeout is dropped here, never served late.
-            while (pending and len(active) < self.slots
+            while (pending and len(active) < slots
                    and pending[0].ready_s <= now):
                 entry = pending.popleft()
                 if (entry.retries > 0
                         and now - entry.request.arrival_s > retry_timeout):
                     acc.dropped += 1
                     continue
+                # Every admission is owed a prefill or a restore.
                 active.append(_Slot(entry, min(entry.request.decode_len,
                                                self.max_decode_len)))
+                waiting += 1
             if not active:
                 continue  # timed-out retries only; re-check arrivals
 
             # Step selection: oldest slot needing a prefill or a restore
             # first; then, when checkpointing, a snapshot step for every
             # sequence whose uncovered progress reached the cadence;
-            # else one decode iteration over every prefilled slot.
-            waiting = [s for s in active
-                       if s.prefill_t is None or s.restore_pending]
-            due: List[_Slot] = []
+            # else one decode iteration over every prefilled slot. One
+            # pass finds the deepest sequence and how many decode steps
+            # remain before a retirement or a snapshot falls due.
             if waiting:
-                members = [waiting[0]]
-                if members[0].restore_pending:
+                for slot in active:
+                    if slot.prefill_t is None or slot.restore_pending:
+                        break
+                if slot.restore_pending:
                     phase = "restore"
-                    latency = self._restore_latency_s(members[0])
+                    latency = self._restore_latency_s(slot)
                 else:
                     phase = "prefill"
-                    bucket = self.spec.prompt_bucket(
-                        members[0].request.prompt_len)
-                    latency = self.step_latency_s(phase, bucket, 1)
+                    latency = prefill_latency.get(slot.prompt_len)
+                    if latency is None:
+                        latency = self.step_latency_s(
+                            phase, self.spec.prompt_bucket(slot.prompt_len), 1)
+                        prefill_latency[slot.prompt_len] = latency
             else:
-                if self.recovery is not None and self.recovery.checkpointing:
-                    every = self.recovery.checkpoint_every
-                    due = [s for s in active if s.produced - s.snap >= every]
-                if due:
-                    members = due
+                deepest = 0
+                to_retire = to_due = math.inf
+                for s in active:
+                    produced = s.produced
+                    if s.prompt_len + produced > deepest:
+                        deepest = s.prompt_len + produced
+                    if s.target - produced < to_retire:
+                        to_retire = s.target - produced
+                    if every and every - produced + s.snap < to_due:
+                        to_due = every - produced + s.snap
+                if to_due <= 0:
                     phase = "snapshot"
-                    deepest = max(s.request.prompt_len + s.produced
-                                  for s in members)
-                    bucket = self.spec.kv_bucket(deepest)
-                    latency = self.step_latency_s(phase, bucket, len(members))
+                    due = [s for s in active if s.produced - s.snap >= every]
+                    key = (self.spec.kv_bucket(
+                        max(s.prompt_len + s.produced for s in due)), len(due))
+                    latency = snapshot_latency.get(key)
+                    if latency is None:
+                        latency = snapshot_latency[key] = self.step_latency_s(
+                            phase, *key)
                 else:
-                    members = active
                     phase = "decode"
-                    deepest = max(s.request.prompt_len + s.produced
-                                  for s in members)
                     bucket = self.spec.kv_bucket(deepest)
-                    latency = self.step_latency_s(phase, bucket, len(members))
-            if schedule is not None:
-                latency *= schedule.slowdown_factor(core, now)
+                    key = (bucket, len(active))
+                    latency = decode_latency.get(key)
+                    if latency is None:
+                        latency = decode_latency[key] = self.step_latency_s(
+                            phase, *key)
+            latency *= factor
             completion = now + latency
 
-            if schedule is not None:
+            if completion > win_end:
                 failure = schedule.first_failure_between(core, now, completion)
                 if failure is not None:
                     # The core died mid-step. KV caches are core-resident,
@@ -629,53 +704,74 @@ class ContinuousBatchingSimulator:
                             survivors.append(self._requeue_entry(slot))
                     pending.extendleft(reversed(survivors))
                     active = []
+                    waiting = 0
                     now = fail_end
                     continue
 
             # Commit the step.
-            now = completion
+            retiring = False
             if phase == "prefill":
-                slot = members[0]
                 slot.prefill_t = completion
                 slot.produced = 1
                 acc.prefills += 1
                 acc.computed += 1
                 if slot.high_water >= 1:
                     acc.recomputed += 1
+                waiting -= 1
+                retiring = slot.target <= 1
             elif phase == "restore":
-                slot = members[0]
+                # Restores and snapshots leave ``produced`` unchanged, so
+                # nobody retires after them.
                 suffix = slot.produced - slot.snap
                 acc.computed += suffix
                 acc.recomputed += suffix
                 acc.recovered += slot.snap
                 acc.restores += 1
                 slot.restore_pending = False
+                waiting -= 1
             elif phase == "snapshot":
                 acc.snapshot_steps += 1
-                acc.snapshots += len(members)
-                for slot in members:
-                    slot.snap = slot.produced
+                acc.snapshots += len(due)
+                for s in due:
+                    s.snap = s.produced
             else:
-                acc.decode_steps += 1
-                acc.decode_batch_sum += len(members)
-                acc.computed += len(members)
-                for slot in members:
-                    slot.produced += 1
-                    if slot.produced <= slot.high_water:
-                        acc.recomputed += 1
+                # Decode run: the invariants are in the module docstring.
+                steps = 1
+                limit = min(to_retire, to_due,
+                            bucket - deepest + 1 if deepest <= bucket
+                            else math.inf)
+                if down_until is None:
+                    stop = win_end
+                    if pending and len(active) < slots:
+                        stop = min(stop, pending[0].ready_s)
+                    while (steps < limit and completion < stop
+                           and completion + latency <= win_end):
+                        completion += latency
+                        steps += 1
+                n = len(active)
+                acc.decode_steps += steps
+                acc.decode_batch_sum += steps * n
+                acc.computed += steps * n
+                for s in active:
+                    old = s.produced
+                    s.produced = old + steps
+                    if old < s.high_water:
+                        acc.recomputed += min(s.high_water, old + steps) - old
+                retiring = steps == to_retire
+            now = completion
 
-            retiring = [s for s in active if s.produced >= s.target]
             if retiring:
+                for s in active:
+                    if s.produced >= s.target:
+                        acc.served += 1
+                        acc.tokens += s.target
+                        acc.ttft.append(s.prefill_t - s.request.arrival_s)
+                        if s.target > 1:
+                            acc.per_token.append(
+                                (completion - s.prefill_t) / (s.target - 1))
                 active = [s for s in active if s.produced < s.target]
-                for slot in retiring:
-                    acc.served += 1
-                    acc.tokens += slot.target
-                    acc.ttft.append(slot.prefill_t - slot.request.arrival_s)
-                    if slot.target > 1:
-                        acc.per_token.append(
-                            (completion - slot.prefill_t)
-                            / (slot.target - 1))
-            acc.last_completion = max(acc.last_completion, completion)
+            if completion > acc.last_completion:
+                acc.last_completion = completion
 
     def _finalize(self, requests: Sequence[GenRequest],
                   acc: _Accumulator) -> ContinuousStats:

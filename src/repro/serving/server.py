@@ -142,8 +142,10 @@ class ServingSimulator:
         for batch, latency in table.items():
             if batch < 1:
                 raise ValueError("batch must be >= 1")
-            if latency < 0:
-                raise ValueError("latency must be non-negative")
+            if not 0 <= latency < math.inf:  # phrased to reject NaN too
+                raise ValueError(
+                    f"latency for batch {batch} must be finite and "
+                    f"non-negative, got {latency}")
         self._latency_cache.update(table)
 
     def prewarm(self, workers: Optional[int] = None) -> dict[int, float]:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import resource
@@ -212,6 +213,26 @@ class TestPodCommand:
         assert "error:" in capsys.readouterr().err
         assert main(["pod", "--slice-chips", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestLlmCommand:
+    """``repro llm`` output pinned across commits, not just across runs.
+
+    The sha256 digests were computed from the stdout of the step-at-a-time
+    continuous-batching loop (now ``tests/oracle/continuous.py``), before
+    decode runs replaced it; the shipped loop must print the same bytes.
+    """
+
+    @pytest.mark.parametrize("args, digest", [
+        (["llm"],
+         "2fab2e4e67e8132d3b827033077eb8ff88b7e48b566c8061c5e544167207dde8"),
+        (["llm", "--faults"],
+         "b50fe231369fc7f2bcb70614d925f38f7a7fc9a3683fdb82058e6a9c071cc44d"),
+    ])
+    def test_output_digest_unchanged(self, capsys, args, digest):
+        assert main([*args, "--seed", "3", "--duration", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _limit_memory():

@@ -10,6 +10,7 @@ budget, and zero-request simulate.
 """
 
 import math
+import re
 
 import pytest
 
@@ -309,6 +310,18 @@ class TestContinuousBatching:
         with pytest.raises(ValueError, match="latency"):
             sim.seed_latencies({("decode", 128, 1): -0.001})
 
+    @pytest.mark.parametrize("latency", [math.nan, math.inf, -math.inf])
+    def test_seed_latencies_rejects_non_finite_naming_key_and_value(
+            self, latency):
+        """A NaN latency used to hang simulate (the clock never passed
+        an arrival) and inf made per-token p99 NaN; both now fail here."""
+        sim = make_sim()
+        key = ("decode", 256, 2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"latency for {key!r} must be finite and non-negative, "
+                f"got {latency}")):
+            sim.seed_latencies({key: latency})
+
     def test_mid_decode_outage_loses_prefix_and_retries(self):
         """A core dying mid-decode destroys the generated prefixes (KV
         is core-resident); requests re-enqueue under the retry budget
@@ -370,6 +383,29 @@ class TestContinuousBatching:
         with pytest.raises(ValueError):
             ContinuousBatchingSimulator(
                 shared_design_point(TPUV4I), LLM0, slots=0)
+
+
+class TestBoundaryValidation:
+    """Bad simulator input raises ValueError naming the caller's value."""
+
+    @pytest.mark.parametrize("field", ["ttft_s", "per_token_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0,
+                                       -0.5])
+    def test_slo_budgets_finite_and_positive(self, field, value):
+        budgets = {"ttft_s": 0.05, "per_token_s": 0.01, field: value}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be finite and positive, got {value}")):
+            GenerativeSlo(**budgets)
+
+    @pytest.mark.parametrize("field,value", [
+        ("slots", 0), ("slots", -3),
+        ("max_decode_len", 0), ("max_decode_len", -1),
+    ])
+    def test_simulator_sizes_name_the_value(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be >= 1, got {value}$"):
+            ContinuousBatchingSimulator(shared_design_point(TPUV4I), LLM0,
+                                        **{field: value})
 
 
 class TestLlmSweep:

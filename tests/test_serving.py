@@ -1,5 +1,8 @@
 """Tests for SLOs, batching, the serving simulator (L9), and multi-tenancy (L4)."""
 
+import math
+import re
+
 import pytest
 
 from repro.serving import (
@@ -211,6 +214,20 @@ class TestServingSimulator:
         assert stats.duration_s == 0.0
         assert stats.throughput_qps == 0.0
         assert math.isfinite(stats.throughput_qps)
+
+    @pytest.mark.parametrize("latency", [math.nan, math.inf, -math.inf,
+                                         -0.001])
+    def test_seed_latencies_rejects_non_finite_naming_it(
+            self, v4i_point_module, latency):
+        spec = app_by_name("cnn0")
+        server = ServingSimulator(
+            v4i_point_module, spec, BatchPolicy(max_batch=4, max_wait_s=0.0),
+            Slo(spec.slo_ms / 1e3))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"batch 2 must be finite and "
+                                           f"non-negative, got {latency}")):
+            server.seed_latencies({1: 0.001, 2: latency})
+        assert 1 not in server._latency_cache
 
 
 class TestServingStatsConservation:
