@@ -28,6 +28,7 @@ from repro.cluster.sweep import chaos_sweep
 from repro.core.design_point import DesignPoint
 from repro.engine.cache import EvalCache, set_cache
 from repro.faults import FaultModel, FaultSchedule
+from repro.obs.tracer import SpanTracer
 from repro.serving import (BatchPolicy, ServingSimulator, Slo,
                            clear_fastserve, fastserve_disabled,
                            fastserve_enabled, fastserve_stats)
@@ -59,6 +60,11 @@ def slowdown_schedule(cores, horizon_s=10.0, factor=20.0):
     return FaultSchedule(cores, horizon_s,
                          slowdowns=[(core, 0.0, horizon_s, factor)
                                     for core in range(cores)])
+
+
+@pytest.fixture(scope="module")
+def points():
+    return {chip.name: DesignPoint(chip) for chip in GENERATIONS}
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +111,56 @@ fault_models = st.none() | st.builds(
     slowdown_factor=st.floats(1.0, 10.0),
     retry_budget=st.integers(0, 3),
     retry_timeout_s=_NEVER | st.floats(0.005, 0.1))
+
+
+#: Outage boundaries: whole milliseconds (where flat-table batches
+#: complete, so boundaries meet completions) or any instant.
+_instants = (st.integers(0, 150).map(lambda k: k * 0.001)
+             | st.floats(0.0, 0.15))
+
+
+@st.composite
+def overlapping_outages(draw, cores):
+    """On one or more cores, outage 2 opens inside outage 1 and
+    outlasts it (possibly forever)."""
+    down = []
+    for core in sorted(draw(st.sets(st.integers(0, cores - 1),
+                                    min_size=1))):
+        t0, t1, t2, t3 = sorted(draw(st.lists(
+            _instants, min_size=4, max_size=4, unique=True)))
+        if draw(st.booleans()):
+            t3 = math.inf
+        down += [(core, t0, t2), (core, t1, t3)]
+    return FaultSchedule(cores, 1.0, down=down)
+
+
+def assert_no_launch_while_down(spans, schedules):
+    """No ``batch`` span starts strictly inside an outage of its core.
+
+    ``schedules`` maps a track prefix ("" or "replica<i>/") to the
+    schedule of the cores on it.
+    """
+    for span in spans:
+        if span.name != "batch":
+            continue
+        prefix, core = span.track.rsplit("core", 1)
+        schedule = schedules.get(prefix)
+        if schedule is None:
+            continue
+        for down_core, start, stop in schedule.down:
+            if down_core == int(core):
+                assert not start * 1e6 < span.ts_us < stop * 1e6, (
+                    span, (start, stop))
+
+
+def traced_both_ways(run):
+    """Run ``run(tracer)`` fast and cold, each with its own tracer."""
+    fast_tracer, cold_tracer = SpanTracer(), SpanTracer()
+    fast = run(fast_tracer)
+    with fastserve_disabled():
+        cold = run(cold_tracer)
+    assert fast_tracer.spans == cold_tracer.spans
+    return fast, cold, fast_tracer.spans
 
 
 def serving_both_ways(sim_factory, requests, **kwargs):
@@ -169,18 +225,52 @@ class TestServingIdentity:
         assert fast == cold
         assert fast.mean_batch > 7.9  # queue really ran deep
 
+    @pytest.mark.parametrize("chip", GENERATIONS, ids=lambda c: c.name)
     @settings(max_examples=20, deadline=None)
     @given(faults=fault_models, seed=st.integers(0, 2**31),
            max_batch=st.sampled_from((1, 2, 4, 8)),
            max_wait_s=st.floats(0.0, 0.005), rate=st.floats(500.0, 6000.0))
     def test_identity_property_over_policies_and_faults(
-            self, v4i_point, faults, seed, max_batch, max_wait_s, rate):
+            self, points, chip, faults, seed, max_batch, max_wait_s, rate):
+        point = points[chip.name]
         requests = RequestGenerator(seed).poisson("cnn0", rate, 0.15)
         fast, cold = serving_both_ways(
-            lambda: make_sim(v4i_point, max_batch=max_batch,
+            lambda: make_sim(point, max_batch=max_batch,
                              max_wait_s=max_wait_s),
             requests, faults=faults)
         assert fast == cold
+
+    @pytest.mark.parametrize("chip", GENERATIONS, ids=lambda c: c.name)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**31),
+           max_batch=st.sampled_from((1, 2, 4, 8)),
+           max_wait_s=st.floats(0.0, 0.005), rate=st.floats(500.0, 6000.0))
+    def test_identity_under_overlapping_outages(
+            self, points, chip, data, seed, max_batch, max_wait_s, rate):
+        """A second outage opening inside the first and outlasting it:
+        both paths must ask the schedule again after the first ends."""
+        point = points[chip.name]
+        schedule = data.draw(overlapping_outages(chip.cores))
+        requests = RequestGenerator(seed).poisson("cnn0", rate, 0.15)
+        fast, cold, spans = traced_both_ways(
+            lambda tracer: make_sim(
+                point, max_batch=max_batch, max_wait_s=max_wait_s,
+            ).simulate(requests, schedule=schedule, tracer=tracer))
+        assert fast == cold
+        assert_no_launch_while_down(spans, {"": schedule})
+
+    def test_launch_waits_out_both_outages(self, v4i_point):
+        # Outage 2 opens inside outage 1 and outlasts it: the first
+        # batch after t=0.01 launches when outage 2 ends, not outage 1.
+        schedule = FaultSchedule(1, 1.0, down=[(0, 0.010, 0.020),
+                                               (0, 0.015, 0.030)])
+        requests = [Request(0.012, "cnn0"), Request(0.013, "cnn0")]
+        fast, cold = serving_both_ways(lambda: make_sim(v4i_point),
+                                       requests, schedule=schedule)
+        assert fast == cold
+        # Both requests wait for t=0.030 and ride one 1 ms batch.
+        assert fast.p50_s == pytest.approx(0.030 + 0.001 - 0.013)
+        assert fast.mean_batch == 2.0
 
 
 class TestClusterIdentity:
@@ -317,19 +407,41 @@ class TestChaosSweepIdentity:
                              "slowdowns", "overload")
             for p in ("static", "resilient")}
 
+    @pytest.mark.parametrize("chip", GENERATIONS, ids=lambda c: c.name)
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31),
            policy=cluster_policies(), faults=fault_models,
            replicas=st.integers(1, 3), rate=st.floats(500.0, 6000.0))
-    def test_identity_property_over_seeds(self, v4i_point, seed, policy,
+    def test_identity_property_over_seeds(self, points, chip, seed, policy,
                                           faults, replicas, rate):
         """Generated router policies x fault models x seeds."""
+        point = points[chip.name]
         requests = RequestGenerator(seed).poisson("cnn0", rate, 0.15)
         fast, cold = cluster_both_ways(
-            lambda: ClusterSimulator(make_replicas(v4i_point, replicas),
+            lambda: ClusterSimulator(make_replicas(point, replicas),
                                      policy),
             requests, faults=faults)
         assert fast == cold
+
+    @pytest.mark.parametrize("chip", GENERATIONS, ids=lambda c: c.name)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**31),
+           policy=cluster_policies(), replicas=st.integers(1, 3),
+           rate=st.floats(500.0, 6000.0))
+    def test_identity_under_overlapping_outages(
+            self, points, chip, data, seed, policy, replicas, rate):
+        """Hand-built overlapping outages on any subset of replicas."""
+        point = points[chip.name]
+        schedules = [data.draw(st.none() | overlapping_outages(chip.cores))
+                     for _ in range(replicas)]
+        requests = RequestGenerator(seed).poisson("cnn0", rate, 0.15)
+        fast, cold, spans = traced_both_ways(
+            lambda tracer: ClusterSimulator(
+                make_replicas(point, replicas), policy,
+            ).simulate(requests, schedules=schedules, tracer=tracer))
+        assert fast == cold
+        assert_no_launch_while_down(
+            spans, {f"replica{i}/": s for i, s in enumerate(schedules)})
 
 
 class TestGating:
