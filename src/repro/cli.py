@@ -8,7 +8,6 @@ Examples::
     python -m repro compare --app cnn0
     python -m repro migrate --app cnn0 --source TPUv3 --target TPUv4i
     python -m repro engine stats
-    python -m repro engine bench --workers 2 --output BENCH_engine.json
     python -m repro faults --seed 3 --core-mtbf 0.5 --repair 0.1
     python -m repro cluster --seed 3 --replicas 3 --duration 0.5
     python -m repro llm --seed 3 --duration 0.5
@@ -34,6 +33,19 @@ from repro.tco import chip_tco, perf_per_tco
 from repro.util.tables import Table
 from repro.util.units import GHZ, GIB, GIGA, MIB
 from repro.workloads import PRODUCTION_APPS, app_by_name
+
+
+def _count(text: str) -> int:
+    """argparse type of a count flag (a batch, a cap, a slot count):
+    an integer >= 1, so 0 can never read as "unset"."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text}")
+    return value
 
 
 def _cmd_chips(_: argparse.Namespace) -> int:
@@ -173,22 +185,9 @@ def _cmd_engine(args: argparse.Namespace) -> int:
             print("hint: set REPRO_CACHE_DIR=.repro_cache (or pass --dir) "
                   "to persist results across runs")
         return 0
-    if args.action == "clear":
-        entries = cache.entry_count() + cache.disk_entry_count()
-        cache.clear(disk=True)
-        print(f"cleared {entries} cache entries")
-        return 0
-    # bench: serial vs parallel vs warm sweep, recorded for PR tracking.
-    from repro.engine.bench import (
-        render_benchmark,
-        run_engine_benchmark,
-        write_benchmark,
-    )
-
-    record = run_engine_benchmark(workers=args.workers)
-    print(render_benchmark(record))
-    path = write_benchmark(record, args.output)
-    print(f"wrote {path}")
+    entries = cache.entry_count() + cache.disk_entry_count()
+    cache.clear(disk=True)
+    print(f"cleared {entries} cache entries")
     return 0
 
 
@@ -442,7 +441,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         slo = Slo(spec.slo_ms / 1e3)
         server = ServingSimulator(
             point, spec,
-            BatchPolicy(max_batch=max(batch, 1),
+            BatchPolicy(max_batch=batch,
                         max_wait_s=slo.limit_s / 4.0),
             slo)
         rate = args.utilization * chip.cores * batch / result.seconds
@@ -477,18 +476,18 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--chip", default="TPUv4i")
     evaluate.add_argument("--chip-file", default=None,
                           help="JSON chip config (overrides --chip)")
-    evaluate.add_argument("--batch", type=int, default=None)
+    evaluate.add_argument("--batch", type=_count, default=None)
     evaluate.set_defaults(func=_cmd_evaluate)
 
     compare = sub.add_parser("compare", help="one app across generations")
     compare.add_argument("--app", required=True)
-    compare.add_argument("--batch", type=int, default=None)
+    compare.add_argument("--batch", type=_count, default=None)
     compare.set_defaults(func=_cmd_compare)
 
     profile = sub.add_parser("profile", help="per-operator cost attribution")
     profile.add_argument("--app", required=True)
     profile.add_argument("--chip", default="TPUv4i")
-    profile.add_argument("--batch", type=int, default=None)
+    profile.add_argument("--batch", type=_count, default=None)
     profile.add_argument("--top", type=int, default=10)
     profile.set_defaults(func=_cmd_profile)
 
@@ -496,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--app", required=True)
     dump.add_argument("--format", choices=("hlo", "asm"), default="hlo")
     dump.add_argument("--chip", default="TPUv4i")
-    dump.add_argument("--batch", type=int, default=None)
+    dump.add_argument("--batch", type=_count, default=None)
     dump.set_defaults(func=_cmd_dump)
 
     migrate = sub.add_parser("migrate", help="move a model between chips")
@@ -505,18 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
     migrate.add_argument("--target", default="TPUv4i")
     migrate.set_defaults(func=_cmd_migrate)
 
-    engine = sub.add_parser(
-        "engine", help="evaluation-engine cache stats and benchmark")
-    engine.add_argument("action", choices=("stats", "clear", "bench"),
+    engine = sub.add_parser("engine", help="evaluation-engine cache stats")
+    engine.add_argument("action", choices=("stats", "clear"),
                         nargs="?", default="stats")
     engine.add_argument("--dir", default=None,
                         help="disk cache directory (default: memory only, "
                              "or $REPRO_CACHE_DIR)")
-    engine.add_argument("--workers", type=int, default=None,
-                        help="process-pool size for 'bench' "
-                             "(default: CPU affinity)")
-    engine.add_argument("--output", default="BENCH_engine.json",
-                        help="where 'bench' writes its JSON record")
     engine.set_defaults(func=_cmd_engine)
 
     faults = sub.add_parser(
@@ -560,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="simulated traffic seconds per scenario")
     cluster.add_argument("--utilization", type=float, default=0.6,
                          help="offered load vs (replicas-1) SLO capacity")
-    cluster.add_argument("--max-batch", type=int, default=8,
+    cluster.add_argument("--max-batch", type=_count, default=8,
                          help="per-replica batching cap (default 8)")
     cluster.set_defaults(func=_cmd_cluster)
 
@@ -581,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="simulated traffic seconds per scenario")
     pod.add_argument("--utilization", type=float, default=0.6,
                      help="offered load vs (slices-1) SLO capacity")
-    pod.add_argument("--max-batch", type=int, default=8,
+    pod.add_argument("--max-batch", type=_count, default=8,
                      help="per-slice batching cap (default 8)")
     pod.add_argument("--parallelism", default="pipeline",
                      choices=("pipeline", "tensor"),
@@ -596,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     llm.add_argument("--models", default=None,
                      help="comma-separated generative models "
                           "(default llm0,llm1)")
-    llm.add_argument("--slots", type=int, default=None,
+    llm.add_argument("--slots", type=_count, default=None,
                      help="continuous-batching slots per core "
                           "(default: each model's own)")
     llm.add_argument("--duration", type=float, default=1.0,
@@ -617,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "(compile -> lower -> replay -> serve)")
     trace.add_argument("app", help="app name or alias (e.g. resnet50)")
     trace.add_argument("chip", help="chip name, case-insensitive")
-    trace.add_argument("--batch", type=int, default=None)
+    trace.add_argument("--batch", type=_count, default=None)
     trace.add_argument("--dtype", default=None,
                        help="simulation dtype (default: bf16 where "
                             "supported, else the chip's int8 retarget)")
@@ -635,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_p.add_argument("--app", default="cnn0",
                            help="app name or alias (default cnn0)")
     metrics_p.add_argument("--chip", default="TPUv4i")
-    metrics_p.add_argument("--batch", type=int, default=None)
+    metrics_p.add_argument("--batch", type=_count, default=None)
     metrics_p.add_argument("--duration", type=float, default=0.25,
                            help="simulated traffic seconds (default 0.25)")
     metrics_p.add_argument("--utilization", type=float, default=0.5,

@@ -14,7 +14,7 @@ layer on top of the single-chip serving simulator, deterministically:
   :class:`ClusterStats`, its unique-request accounting;
 * :mod:`repro.cluster.sweep` — :func:`chaos_sweep`, protected vs
   unprotected clusters across generations and chaos scenarios (the
-  ``repro cluster`` CLI and the engine benchmark's cluster phase);
+  ``repro cluster`` CLI);
 * :mod:`repro.cluster.planner` — :func:`plan_resilient_fleet`, N+k
   sizing by simulated availability instead of rule of thumb.
 

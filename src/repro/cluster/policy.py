@@ -4,7 +4,7 @@ A :class:`ClusterPolicy` declares what the router is allowed to do when
 replicas misbehave. Every knob defaults to *off*, so a default policy is
 a pure passthrough: a one-replica cluster under it is bit-identical to a
 plain :class:`~repro.serving.server.ServingSimulator` run (the identity
-contract asserted in ``tests/test_cluster.py`` and the engine bench).
+contract asserted in ``tests/test_cluster.py``).
 
 Four independent protections:
 
@@ -29,6 +29,7 @@ Four independent protections:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -157,14 +158,17 @@ class ClusterPolicy:
         requests projected to miss the SLO, and declares a two-rung
         degradation ladder (half batch, then int8 at half batch).
         """
-        if slo_limit_s <= 0:
-            raise ValueError("slo_limit_s must be positive")
-        if offered_qps <= 0:
-            raise ValueError("offered_qps must be positive")
+        # Phrased to reject NaN too.
+        if not 0 < slo_limit_s < math.inf:
+            raise ValueError(f"slo_limit_s must be positive and finite, "
+                             f"got {slo_limit_s}")
+        if not 0 < offered_qps < math.inf:
+            raise ValueError(f"offered_qps must be positive and finite, "
+                             f"got {offered_qps}")
         if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if replicas < 1:
-            raise ValueError("replicas must be >= 1")
+            raise ValueError(f"replicas must be >= 1, got {replicas}")
         half = max(1, max_batch // 2)
         tiers = [DegradationTier("half-batch", max_batch=half)]
         if int8_tier:

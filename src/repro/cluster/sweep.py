@@ -7,8 +7,7 @@ deterministic Poisson traffic sized so that N-1 replicas can carry it
 outright, chip-level outages, transient slowdowns, or a 2.5x overload —
 once with the unprotected ``static`` router and once with the full
 ``resilient`` policy. The emitted table is what the ``repro cluster``
-CLI prints and what the engine benchmark's cluster phase times and
-checks for determinism: same arguments, byte-identical rows.
+CLI prints: same arguments, byte-identical rows.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ def chaos_sweep(seed: int = 0, *,
     capacity of ``replicas - 1`` replicas — the fleet is provisioned
     N+1, so one dead replica should be survivable by construction — and
     seeded from ``seed``: the sweep is a pure function of its
-    arguments (asserted by the engine benchmark).
+    arguments (asserted in ``tests/test_cluster.py``).
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")

@@ -14,13 +14,13 @@ DesignPoint`, and DesignPoint funnels it through this package:
   deterministic process-pool fan-out with order-preserving merge;
 * :mod:`repro.engine.sweeps` — the candidate sweep (sharded one
   distinct compile per pool task) and the CMEM/batch-latency sweeps used
-  by ``repro.core.dse`` and the serving simulator;
-* :mod:`repro.engine.bench` — the serial-vs-parallel-vs-warm benchmark
-  behind ``repro engine bench`` and ``BENCH_engine.json``.
+  by ``repro.core.dse`` and the serving simulator.
 
 Determinism guarantee: cached, uncached, serial and parallel evaluation
 of the same inputs produce identical records (pure arithmetic, order-
-preserving merge); ``tests/test_engine.py`` asserts this.
+preserving merge); ``tests/test_engine.py`` asserts this, and the
+``dse-engine`` gate of ``benchmarks/speedup_gates.py`` times the
+serial, parallel and warm sweeps against each other.
 """
 
 from __future__ import annotations

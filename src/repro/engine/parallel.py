@@ -77,9 +77,8 @@ class ParallelSweeper:
     The sweeper also detects when fan-out is a *loss* and falls back to
     the serial loop itself: a requested pool wider than the CPUs this
     process may actually use (``os.sched_getaffinity``) only adds fork
-    and IPC overhead on top of time-sliced execution — on a 1-CPU box the
-    engine benchmark measured the 2-worker sweep ~18% *slower* than
-    serial. Effective width is ``min(workers, CPUs, items)``; at 1, the
+    and IPC overhead on top of time-sliced execution — on a 1-CPU box a
+    2-worker DSE sweep measured ~18% *slower* than serial. Effective width is ``min(workers, CPUs, items)``; at 1, the
     pool is skipped entirely. Results are bit-identical either way, so
     the fallback is observable only as speed. ``force_parallel=True``
     opts out (tests of the pool plumbing itself).

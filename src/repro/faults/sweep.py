@@ -5,8 +5,8 @@ traffic at a fixed fraction of the chip's SLO-feasible capacity, simulate
 it twice — once faultless, once under a :class:`~repro.faults.model.
 FaultModel` — and report availability, retries, drops and the latency
 tail the faults cost. Everything is seeded, so two sweeps with the same
-arguments are identical record for record (the engine benchmark asserts
-this).
+arguments are identical record for record (asserted in
+``tests/test_faults.py``).
 
 Chips without bf16 (TPUv1) are served through an int8-retargeted
 compile — the dtype those parts actually ran in production — so the

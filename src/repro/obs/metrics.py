@@ -189,8 +189,8 @@ class MetricsRegistry:
     ``enabled`` is the one switch call sites check; a disabled registry's
     accessors still work (so tests can poke at it) but instrumented code
     never reaches them. ``op_count`` tallies recording operations while
-    enabled — the engine benchmark uses it to bound what the *disabled*
-    guards could possibly cost (see ``_bench_observability``).
+    enabled — the ``metrics-off`` gate of ``benchmarks/speedup_gates.py``
+    uses it to bound what the *disabled* guards could possibly cost.
     """
 
     def __init__(self, enabled: bool = False) -> None:

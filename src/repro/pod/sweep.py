@@ -10,9 +10,9 @@ with the unprotected ``static`` router and once with the full
 topology variants, so the same dead link shows up as a reroute-and-slow
 slice on the torus and a reconfigure-then-heal slice on the OCS fabric.
 
-The emitted table is what the ``repro pod`` CLI prints and what the
-engine benchmark's pod phase times and checks: same arguments,
-byte-identical rows (two runs are diffed in CI).
+The emitted table is what the ``repro pod`` CLI prints: same
+arguments, byte-identical rows (two runs are diffed in CI and
+``tests/test_pod.py`` checks it).
 """
 
 from __future__ import annotations

@@ -39,8 +39,6 @@ from repro.serving.server import ServingSimulator, ServingStats
 from repro.serving.fastserve import (
     FastServeStats,
     clear_fastserve,
-    fastserve_disabled,
-    fastserve_enabled,
     fastserve_stats,
 )
 from repro.serving.fleet import FleetPlan, plan_fleet
@@ -79,8 +77,6 @@ __all__ = [
     "BatchPolicy",
     "FastServeStats",
     "clear_fastserve",
-    "fastserve_disabled",
-    "fastserve_enabled",
     "fastserve_stats",
     "ServingSimulator",
     "ServingStats",

@@ -9,6 +9,7 @@ latency SLO.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -30,9 +31,10 @@ class BatchPolicy:
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be non-negative")
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        if not 0 <= self.max_wait_s < math.inf:  # rejects NaN too
+            raise ValueError(f"max_wait_s must be finite and non-negative, "
+                             f"got {self.max_wait_s}")
 
     def padded_size(self, actual: int) -> int:
         """Batch size the accelerator actually runs (padded to a step).

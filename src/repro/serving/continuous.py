@@ -968,7 +968,8 @@ def llm_sweep(seed: int = 0, *,
     prompt/decode lengths) at ``utilization`` of the engine's steady
     decode token throughput, simulated under continuous batching. The
     whole sweep is a pure function of its arguments — same seed, same
-    rows, byte for byte (asserted in the engine bench and CI).
+    rows, byte for byte (asserted in ``tests/test_generative.py`` and
+    CI).
     """
     rows: List[LlmSweepRow] = []
     for (chip, spec, point, n_slots, table, policy, rate_qps, requests,

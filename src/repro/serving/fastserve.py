@@ -1,7 +1,7 @@
 """Vectorized serving-replay kernel: whole timelines as batched scans.
 
-The discrete-event loops in :mod:`repro.serving.server` and
-:mod:`repro.cluster.cluster` pay Python interpreter overhead per
+The reference discrete-event loops (``tests/oracle/serving.py`` and
+``tests/oracle/cluster.py``) pay Python interpreter overhead per
 *request*: every arrival is absorbed one comparison at a time, every
 event-selection pass re-derives each replica's next launch time from
 scratch, and every routing decision spins up generators. That made the
@@ -31,10 +31,10 @@ This module replays the same timelines at batch granularity:
 Both kernels reproduce the reference event loops' arithmetic operation
 for operation — same floats, same metric observations, same tracer
 spans — so the returned stats are **bit-identical** to the event loop
-on every scenario (asserted per chaos-sweep scenario in
-``tests/test_fastserve.py`` and ``benchmarks/bench_engine.py``).
-Inside a :func:`fastserve_disabled` block the simulators run the
-original event loops, which remain the reference.
+on every scenario. Each oracle is a subclass overriding the simulator's
+``_replay`` hook; ``tests/test_fastserve.py`` checks every chaos-sweep
+scenario and generated policies, fault models and overlapping outages
+on all four generations against them.
 
 Segment/batch/boundary counts are kept in the always-on module stats
 (:func:`fastserve_stats`, surfaced by ``repro engine stats``) and, when
@@ -50,19 +50,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.obs.metrics import UNIT_BUCKETS, metrics
-from repro.util.switch import PathSwitch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import ClusterSimulator, ClusterStats, _Replica
     from repro.faults.model import FaultSchedule
     from repro.obs.tracer import SpanTracer
     from repro.serving.server import ServingSimulator, ServingStats
-
-_FASTSERVE = PathSwitch()
-#: Whether serving simulations use the replay kernels (vs events).
-fastserve_enabled = _FASTSERVE.enabled
-#: Force the reference event loops (identity tests, benchmarks).
-fastserve_disabled = _FASTSERVE.disabled
 
 
 # ------------------------------------------------------------------- stats
@@ -420,7 +413,7 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
         padded = rep.sim.policy.padded_size(size)
         return tier_tables[rep.index][dtype][padded]
 
-    # Cached _Replica.next_launch(tier_cap) values (inf = nothing to
+    # Cached next-launch times at the tier cap (inf = nothing to
     # launch); stale[i] marks a replica whose queue, server heap, or cap
     # changed since computed.
     launches: List[float] = [inf] * n
@@ -684,9 +677,9 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
 
         if best_kind == 0:       # ----- completion drain -----
             # Completions win every tie, so drain the heap until the
-            # next one would land after some other event. Hedge cancels
-            # only push launch times later, so min_launch stays a valid
-            # (conservative) bound.
+            # next one would land after some other event. A hedge
+            # cancel can pull a launch earlier (queues hold copies in
+            # append order, not arrival order), so it ends the drain.
             while True:
                 when, _, _, rep_index, batch = heappop(completion_heap)
                 for arrival, _, rid in batch:
@@ -716,6 +709,7 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
                                         elif hold_b[rid] == peer_index:
                                             hold_b[rid] = -1
                                         cancelled_hedges += 1
+                                        min_launch = -inf
                                         break
                     else:
                         wasted_hedges += 1
@@ -728,6 +722,24 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
             continue
 
         if best_kind == 1:       # ----- probe window -----
+            if (index == total and not completion_heap
+                    and settled_until <= next_probe
+                    and not (hedges and arrivals[hedges[-1]] + hedge_delay
+                             >= next_probe)
+                    and all(reps[i].dead and reps[i].health != _HEALTHY
+                            for i in range(n) if queues[i])):
+                # Nothing is left but ejected replicas whose every core
+                # is down for good (the reference's heaps are empty):
+                # no probe can re-admit them, so drop their queues.
+                for i in range(n):
+                    q = queues[i]
+                    queued_total -= len(q)
+                    for entry in q:
+                        reps[i].dropped += 1
+                        copy_dropped(entry[2], i)
+                    q.clear()
+                    stale[i] = True
+                continue
             now = next_probe
             for rep in reps:
                 if rep.health == _HEALTHY:

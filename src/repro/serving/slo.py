@@ -45,10 +45,12 @@ class Slo:
     pct: float = 99.0
 
     def __post_init__(self) -> None:
-        if self.limit_s <= 0:
-            raise ValueError("SLO limit must be positive")
+        if not 0 < self.limit_s < math.inf:  # phrased to reject NaN too
+            raise ValueError(f"SLO limit must be positive and finite, "
+                             f"got {self.limit_s}")
         if not 0 < self.pct <= 100:
-            raise ValueError("SLO percentile must be in (0, 100]")
+            raise ValueError(
+                f"SLO percentile must be in (0, 100], got {self.pct}")
 
     def met_by(self, latencies_s: Sequence[float]) -> bool:
         """Whether a latency sample satisfies the SLO.

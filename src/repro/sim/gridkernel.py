@@ -29,7 +29,8 @@ a bundle run-length offset, and a busy unit's final free time is
 recurrence. Per-point dtype scaling is a byte multiplier, exactly as in
 replay. The result is **bit-identical** to per-point
 :class:`FastReplay` (the reference; asserted in ``tests/test_gridsim.py``
-and ``benchmarks/bench_engine.py``).
+and ``tests/test_differential.py``; ``benchmarks/speedup_gates.py``
+times the two).
 
 Inside a :func:`gridsim_disabled` block :func:`evaluate_grid` runs the
 per-point replay loop, the reference. The same fallback covers a missing

@@ -23,7 +23,8 @@ The lowered form is dtype-independent (arithmetic width only scales byte
 traffic, applied at replay time), so one lowering serves bf16 and int8
 replays. The interpreter remains the reference implementation: tracing
 runs always use it, and :func:`fastsim_disabled` routes every run through
-it in-process (tests and the engine bench's baselines).
+it in-process (tests and the baselines of
+``benchmarks/speedup_gates.py``).
 
 Rows are plain tuples ``(kind, a0, a1, a2, f)``. The replay loop stays
 sequential because issue/unit state carries a loop dependency the

@@ -1,10 +1,12 @@
 """In-process switches that route a layer to its reference path.
 
-Each fast kernel (lowered replay, grid kernel, serving replay) has a
-bit-identical reference. A :class:`PathSwitch` counts open
-:meth:`~PathSwitch.disabled` blocks; while any is open,
+The chip-timing fast paths (lowered replay, grid kernel) each keep a
+bit-identical reference in the package. A :class:`PathSwitch` counts
+open :meth:`~PathSwitch.disabled` blocks; while any is open,
 :meth:`~PathSwitch.enabled` is false and the layer runs its reference.
-Tests and the engine bench use this to run both paths in one process.
+Tests and ``benchmarks/speedup_gates.py`` use this to run both paths in
+one process. (The serving replay kernels have no switch: their
+reference event loops are test oracles in ``tests/oracle/``.)
 """
 
 from __future__ import annotations

@@ -292,3 +292,41 @@ class TestHostileInputs:
     def test_negative_seed_names_the_callers_value(self, capsys, args, seed):
         assert main([*args, "--seed", seed, "--duration", "0.1"]) == 2
         assert capsys.readouterr().err.strip().endswith(f"got {seed}")
+
+    @pytest.mark.parametrize("args, flag, value", [
+        (["profile", "--app", "cnn0"], "--batch", "0"),
+        (["dump", "--app", "cnn0"], "--batch", "0"),
+        (["metrics", "--duration", "0.1"], "--batch", "0"),
+        (["evaluate", "--app", "cnn0"], "--batch", "-3"),
+        (["trace", "mlp0", "TPUv4i"], "--batch", "0"),
+        (["cluster", "--duration", "0.1"], "--max-batch", "0"),
+        (["pod", "--duration", "0.1"], "--max-batch", "0"),
+        (["llm", "--duration", "0.1"], "--slots", "-1"),
+        (["llm", "--duration", "0.1"], "--slots", "two"),
+    ])
+    def test_nonpositive_count_names_flag_and_value(self, args, flag,
+                                                    value):
+        # --batch 0 once ran the default batch; --max-batch 0 and
+        # --slots -1 once reported an internal array shape.
+        proc = _run_repro(*args, flag, value)
+        assert proc.returncode == 2, proc.stderr
+        assert (f"argument {flag}: must be an integer >= 1, got {value}"
+                in proc.stderr)
+
+
+class TestEngineCommand:
+    def test_stats_and_clear(self, tmp_path):
+        stats = _run_repro("engine", "stats")
+        assert stats.returncode == 0, stats.stderr
+        assert "fastserve:" in stats.stdout
+        clear = _run_repro("engine", "clear", "--dir", str(tmp_path))
+        assert clear.returncode == 0, clear.stderr
+        assert "cleared 0 cache entries" in clear.stdout
+
+    @pytest.mark.parametrize("args", [
+        ["bench"], ["stats", "--workers", "2"], ["stats", "--output", "x"],
+    ])
+    def test_retired_bench_surface_exits_2(self, args):
+        proc = _run_repro("engine", *args)
+        assert proc.returncode == 2
+        assert "usage: repro" in proc.stderr

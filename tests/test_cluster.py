@@ -105,6 +105,22 @@ class TestPassthroughIdentity:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("field, value, message", [
+        ("slo_limit_s", math.nan, "slo_limit_s must be positive and finite"),
+        ("slo_limit_s", math.inf, "slo_limit_s must be positive and finite"),
+        ("slo_limit_s", 0.0, "slo_limit_s must be positive and finite"),
+        ("offered_qps", math.nan, "offered_qps must be positive and finite"),
+        ("offered_qps", -5.0, "offered_qps must be positive and finite"),
+        ("max_batch", 0, "max_batch must be >= 1"),
+        ("replicas", 0, "replicas must be >= 1"),
+    ])
+    def test_resilient_names_the_value(self, field, value, message):
+        kwargs = dict(slo_limit_s=0.005, offered_qps=2000.0, max_batch=8,
+                      replicas=3)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{message}, got {value}$"):
+            ClusterPolicy.resilient(**kwargs)
+
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match="at least one replica"):
             ClusterSimulator([])
@@ -411,6 +427,27 @@ class TestChaosSweep:
         assert by_policy["resilient"].shed_fraction > 0.2
         assert (by_policy["resilient"].p99_s
                 <= by_policy["static"].p99_s)
+
+    def test_mlp1_seed5_contract(self):
+        """mlp1 on TPUv4i at seed 5: the sweep reproduces itself, a
+        one-replica passthrough cluster matches the plain simulator on
+        400 qps of seed-13 traffic, and the resilient router keeps
+        >= 97% availability with one of three replicas killed."""
+        kwargs = dict(seed=5, apps=("mlp1",), chips=(TPUV4I,),
+                      duration_s=0.5)
+        rows = chaos_sweep(**kwargs)
+        assert rows == chaos_sweep(**kwargs)
+        cells = [r.stats.availability for r in rows
+                 if r.policy == "resilient" and r.scenario == "kill-1"]
+        assert cells and min(cells) >= 0.97
+        spec = app_by_name("mlp1")
+        slo = Slo(spec.slo_ms / 1e3)
+        sim = ServingSimulator(
+            shared_design_point(TPUV4I), spec,
+            BatchPolicy(max_batch=8, max_wait_s=slo.limit_s / 4.0), slo)
+        requests = RequestGenerator(13).poisson(spec.name, 400.0, 0.5)
+        clustered = ClusterSimulator([sim]).simulate(requests)
+        assert clustered.replica_stats[0] == sim.simulate(requests)
 
     def test_killing_every_replica_rejected(self):
         with pytest.raises(ValueError, match="kills every replica"):

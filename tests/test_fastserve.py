@@ -1,21 +1,23 @@
 """Fastserve replay kernels: bit-identity against the event loops.
 
-The contract under test is absolute: outside a ``fastserve_disabled()``
-block, :func:`repro.serving.fastserve.replay_serving` and
-:func:`replay_cluster` must reproduce the reference event loops'
-returned stats **byte for byte** — same floats, same counters, same
-tracer spans — on every scenario the chaos sweep exercises: faultless,
-replica kills, mid-batch kills, transient slowdowns, overload shedding,
-hedging, and dtype degradation tiers, across all four chip generations.
-Plus the satellites that ride along: the context-manager opt-out,
-the shared-compile regression for identical replicas, float-typed
-latency stats, the bare-timestamp request API, and the vectorized
-Poisson generator's parity with the scalar loop it replaced.
+The contract under test is absolute:
+:func:`repro.serving.fastserve.replay_serving` and :func:`replay_cluster`
+must reproduce the reference event loops (``tests/oracle/serving.py``,
+``tests/oracle/cluster.py``) **byte for byte** — same floats, same
+counters, same tracer spans — on every scenario the chaos sweep
+exercises: faultless, replica kills, mid-batch kills, transient
+slowdowns, overlapping outages, overload shedding, hedging, and dtype
+degradation tiers, across all four chip generations. Plus the
+satellites that ride along: the shared-compile regression for identical
+replicas, float-typed latency stats, the bare-timestamp request API,
+and the vectorized Poisson generator's parity with the scalar loop it
+replaced.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,18 +32,21 @@ from repro.engine.cache import EvalCache, set_cache
 from repro.faults import FaultModel, FaultSchedule
 from repro.obs.tracer import SpanTracer
 from repro.serving import (BatchPolicy, ServingSimulator, Slo,
-                           clear_fastserve, fastserve_disabled,
-                           fastserve_enabled, fastserve_stats)
+                           clear_fastserve, fastserve_stats)
 from repro.util.rng import DeterministicRng
 from repro.workloads import Request, RequestGenerator, app_by_name
+from tests.oracle import use_reference_loops
+from tests.oracle.cluster import ReferenceClusterSimulator
+from tests.oracle.serving import ReferenceServingSimulator
 
 FLAT_TABLE = {step: 0.001 for step in BatchPolicy.batch_steps(8)}
 
 
-def make_sim(point, *, max_batch=8, max_wait_s=0.002, table=FLAT_TABLE):
+def make_sim(point, *, max_batch=8, max_wait_s=0.002, table=FLAT_TABLE,
+             cls=ServingSimulator):
     spec = app_by_name("cnn0")
-    sim = ServingSimulator(point, spec, BatchPolicy(max_batch, max_wait_s),
-                           Slo(spec.slo_ms / 1e3))
+    sim = cls(point, spec, BatchPolicy(max_batch, max_wait_s),
+              Slo(spec.slo_ms / 1e3))
     sim.seed_latencies(table)
     return sim
 
@@ -64,7 +69,8 @@ def slowdown_schedule(cores, horizon_s=10.0, factor=20.0):
 
 @pytest.fixture(scope="module")
 def points():
-    return {chip.name: DesignPoint(chip) for chip in GENERATIONS}
+    """One design point per generation (latencies come from a table)."""
+    return [DesignPoint(chip) for chip in GENERATIONS]
 
 
 @pytest.fixture(scope="module")
@@ -153,28 +159,28 @@ def assert_no_launch_while_down(spans, schedules):
                     span, (start, stop))
 
 
-def traced_both_ways(run):
-    """Run ``run(tracer)`` fast and cold, each with its own tracer."""
+def traced_both_ways(run, shipped, reference):
+    """Run ``run(cls, tracer)`` on the shipped simulator class and on its
+    oracle, each with its own tracer; the spans must match too."""
     fast_tracer, cold_tracer = SpanTracer(), SpanTracer()
-    fast = run(fast_tracer)
-    with fastserve_disabled():
-        cold = run(cold_tracer)
+    fast = run(shipped, fast_tracer)
+    cold = run(reference, cold_tracer)
     assert fast_tracer.spans == cold_tracer.spans
     return fast, cold, fast_tracer.spans
 
 
-def serving_both_ways(sim_factory, requests, **kwargs):
-    """Run one serving scenario fast and cold on fresh simulators."""
-    fast = sim_factory().simulate(requests, **kwargs)
-    with fastserve_disabled():
-        cold = sim_factory().simulate(requests, **kwargs)
+def serving_both_ways(make, requests, **kwargs):
+    """Run one serving scenario on ``make(cls=...)`` for the shipped
+    simulator and the event-loop oracle, fresh simulators each."""
+    fast = make(cls=ServingSimulator).simulate(requests, **kwargs)
+    cold = make(cls=ReferenceServingSimulator).simulate(requests, **kwargs)
     return fast, cold
 
 
-def cluster_both_ways(cluster_factory, requests, **kwargs):
-    fast = cluster_factory().simulate(requests, **kwargs)
-    with fastserve_disabled():
-        cold = cluster_factory().simulate(requests, **kwargs)
+def cluster_both_ways(make, requests, **kwargs):
+    """The cluster counterpart of :func:`serving_both_ways`."""
+    fast = make(ClusterSimulator).simulate(requests, **kwargs)
+    cold = make(ReferenceClusterSimulator).simulate(requests, **kwargs)
     return fast, cold
 
 
@@ -185,7 +191,7 @@ class TestServingIdentity:
     def test_faultless_identity_per_generation(self, chip):
         point = DesignPoint(chip)
         requests = RequestGenerator(11).poisson("cnn0", 1500.0, 0.3)
-        fast, cold = serving_both_ways(lambda: make_sim(point), requests)
+        fast, cold = serving_both_ways(partial(make_sim, point), requests)
         assert fast == cold  # frozen dataclass: bit-level equality
 
     def test_mid_batch_kill_identity(self, v4i_point, traffic):
@@ -193,71 +199,73 @@ class TestServingIdentity:
         # cut a segment boundary and carry the survivors across it.
         cores = v4i_point.chip.cores
         schedule = kill_schedule(cores, start_s=0.05, end_s=0.2)
-        fast, cold = serving_both_ways(lambda: make_sim(v4i_point),
+        fast, cold = serving_both_ways(partial(make_sim, v4i_point),
                                        traffic, schedule=schedule)
         assert fast == cold
         assert fast.lost_batches > 0  # the scenario really bit
 
     def test_permanent_kill_identity(self, v4i_point, traffic):
         schedule = kill_schedule(v4i_point.chip.cores, start_s=0.1)
-        fast, cold = serving_both_ways(lambda: make_sim(v4i_point),
+        fast, cold = serving_both_ways(partial(make_sim, v4i_point),
                                        traffic, schedule=schedule)
         assert fast == cold
         assert fast.dropped_requests > 0
 
     def test_slowdown_identity(self, v4i_point, traffic):
         schedule = slowdown_schedule(v4i_point.chip.cores)
-        fast, cold = serving_both_ways(lambda: make_sim(v4i_point),
+        fast, cold = serving_both_ways(partial(make_sim, v4i_point),
                                        traffic, schedule=schedule)
         assert fast == cold
         assert fast.p99_s > FLAT_TABLE[1]  # slowdown visible in the tail
 
     def test_seeded_fault_model_identity(self, v4i_point, traffic):
         model = FaultModel(seed=7, core_mtbf_s=0.05, core_repair_s=0.02)
-        fast, cold = serving_both_ways(lambda: make_sim(v4i_point),
+        fast, cold = serving_both_ways(partial(make_sim, v4i_point),
                                        traffic, faults=model)
         assert fast == cold
 
     def test_overload_identity(self, v4i_point):
         # 10x the queue's drain rate: deep queues, constant max batches.
         requests = RequestGenerator(3).poisson("cnn0", 50000.0, 0.1)
-        fast, cold = serving_both_ways(lambda: make_sim(v4i_point), requests)
+        fast, cold = serving_both_ways(partial(make_sim, v4i_point),
+                                       requests)
         assert fast == cold
         assert fast.mean_batch > 7.9  # queue really ran deep
 
-    @pytest.mark.parametrize("chip", GENERATIONS, ids=lambda c: c.name)
     @settings(max_examples=20, deadline=None)
     @given(faults=fault_models, seed=st.integers(0, 2**31),
            max_batch=st.sampled_from((1, 2, 4, 8)),
            max_wait_s=st.floats(0.0, 0.005), rate=st.floats(500.0, 6000.0))
     def test_identity_property_over_policies_and_faults(
-            self, points, chip, faults, seed, max_batch, max_wait_s, rate):
-        point = points[chip.name]
+            self, points, faults, seed, max_batch, max_wait_s, rate):
+        """Every example runs on all four generations."""
         requests = RequestGenerator(seed).poisson("cnn0", rate, 0.15)
-        fast, cold = serving_both_ways(
-            lambda: make_sim(point, max_batch=max_batch,
-                             max_wait_s=max_wait_s),
-            requests, faults=faults)
-        assert fast == cold
+        for point in points:
+            fast, cold = serving_both_ways(
+                partial(make_sim, point, max_batch=max_batch,
+                        max_wait_s=max_wait_s),
+                requests, faults=faults)
+            assert fast == cold, point.chip.name
 
-    @pytest.mark.parametrize("chip", GENERATIONS, ids=lambda c: c.name)
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**31),
            max_batch=st.sampled_from((1, 2, 4, 8)),
            max_wait_s=st.floats(0.0, 0.005), rate=st.floats(500.0, 6000.0))
     def test_identity_under_overlapping_outages(
-            self, points, chip, data, seed, max_batch, max_wait_s, rate):
+            self, points, data, seed, max_batch, max_wait_s, rate):
         """A second outage opening inside the first and outlasting it:
         both paths must ask the schedule again after the first ends."""
-        point = points[chip.name]
-        schedule = data.draw(overlapping_outages(chip.cores))
         requests = RequestGenerator(seed).poisson("cnn0", rate, 0.15)
-        fast, cold, spans = traced_both_ways(
-            lambda tracer: make_sim(
-                point, max_batch=max_batch, max_wait_s=max_wait_s,
-            ).simulate(requests, schedule=schedule, tracer=tracer))
-        assert fast == cold
-        assert_no_launch_while_down(spans, {"": schedule})
+        for point in points:
+            schedule = data.draw(overlapping_outages(point.chip.cores))
+            fast, cold, spans = traced_both_ways(
+                lambda cls, tracer: make_sim(
+                    point, max_batch=max_batch, max_wait_s=max_wait_s,
+                    cls=cls,
+                ).simulate(requests, schedule=schedule, tracer=tracer),
+                ServingSimulator, ReferenceServingSimulator)
+            assert fast == cold, point.chip.name
+            assert_no_launch_while_down(spans, {"": schedule})
 
     def test_launch_waits_out_both_outages(self, v4i_point):
         # Outage 2 opens inside outage 1 and outlasts it: the first
@@ -265,7 +273,7 @@ class TestServingIdentity:
         schedule = FaultSchedule(1, 1.0, down=[(0, 0.010, 0.020),
                                                (0, 0.015, 0.030)])
         requests = [Request(0.012, "cnn0"), Request(0.013, "cnn0")]
-        fast, cold = serving_both_ways(lambda: make_sim(v4i_point),
+        fast, cold = serving_both_ways(partial(make_sim, v4i_point),
                                        requests, schedule=schedule)
         assert fast == cold
         # Both requests wait for t=0.030 and ride one 1 ms batch.
@@ -284,8 +292,7 @@ class TestClusterIdentity:
             slo_limit_s=0.005, offered_qps=3000.0, max_batch=8, replicas=3,
             int8_tier=False)
         fast, cold = cluster_both_ways(
-            lambda: ClusterSimulator(make_replicas(point, 3), policy),
-            requests)
+            lambda cls: cls(make_replicas(point, 3), policy), requests)
         assert fast == cold
 
     def test_kill_one_identity(self, v4i_point, traffic):
@@ -294,7 +301,7 @@ class TestClusterIdentity:
             slo_limit_s=0.005, offered_qps=2000.0, max_batch=8, replicas=3,
             int8_tier=False)
         fast, cold = cluster_both_ways(
-            lambda: ClusterSimulator(make_replicas(v4i_point, 3), policy),
+            lambda cls: cls(make_replicas(v4i_point, 3), policy),
             traffic, schedules=[kill_schedule(cores), None, None])
         assert fast == cold
         assert fast.ejections >= 1
@@ -305,7 +312,7 @@ class TestClusterIdentity:
             slo_limit_s=0.005, offered_qps=2000.0, max_batch=8, replicas=3,
             int8_tier=False)
         fast, cold = cluster_both_ways(
-            lambda: ClusterSimulator(make_replicas(v4i_point, 3), policy),
+            lambda cls: cls(make_replicas(v4i_point, 3), policy),
             traffic,
             schedules=[kill_schedule(cores, start_s=0.05, end_s=0.2),
                        None, None])
@@ -317,7 +324,7 @@ class TestClusterIdentity:
             slo_limit_s=0.005, offered_qps=2000.0, max_batch=8, replicas=3,
             int8_tier=False)
         fast, cold = cluster_both_ways(
-            lambda: ClusterSimulator(make_replicas(v4i_point, 3), policy),
+            lambda cls: cls(make_replicas(v4i_point, 3), policy),
             traffic, schedules=[slowdown_schedule(cores), None, None])
         assert fast == cold
 
@@ -329,7 +336,7 @@ class TestClusterIdentity:
             slo_limit_s=0.005, offered_qps=2000.0, max_batch=8, replicas=3,
             int8_tier=False)
         fast, cold = cluster_both_ways(
-            lambda: ClusterSimulator(make_replicas(v4i_point, 3), policy),
+            lambda cls: cls(make_replicas(v4i_point, 3), policy),
             requests)
         assert fast == cold
         assert fast.shed_requests > 0
@@ -344,7 +351,7 @@ class TestClusterIdentity:
         policy = ClusterPolicy(probe_interval_s=0.01,
                                hedge_delay_s=0.005)
         fast, cold = cluster_both_ways(
-            lambda: ClusterSimulator(make_replicas(v4i_point, 2), policy),
+            lambda cls: cls(make_replicas(v4i_point, 2), policy),
             requests, schedules=[slow, None])
         assert fast == cold
         assert fast.hedged_requests > 0
@@ -358,7 +365,7 @@ class TestClusterIdentity:
             degrade_below_healthy=0.67, degrade_after=2, recover_after=4)
         requests = RequestGenerator(5).poisson("cnn0", 3000.0, 0.4)
         fast, cold = cluster_both_ways(
-            lambda: ClusterSimulator(make_replicas(v4i_point, 3), policy),
+            lambda cls: cls(make_replicas(v4i_point, 3), policy),
             requests, schedules=[kill_schedule(cores),
                                  kill_schedule(cores), None])
         assert fast == cold
@@ -369,35 +376,30 @@ class TestClusterIdentity:
         # queue dropped — the lazy-discovery order must match exactly.
         cores = v4i_point.chip.cores
         fast, cold = cluster_both_ways(
-            lambda: ClusterSimulator(make_replicas(v4i_point, 2)),
+            lambda cls: cls(make_replicas(v4i_point, 2)),
             traffic, schedules=[kill_schedule(cores, start_s=0.1), None])
         assert fast == cold
         assert fast.dropped_requests > 0
 
     def test_tracer_spans_identical(self, v4i_point, traffic):
-        from repro.obs.tracer import SpanTracer
         policy = ClusterPolicy.resilient(
             slo_limit_s=0.005, offered_qps=2000.0, max_batch=8, replicas=2,
             int8_tier=False)
-
-        def run():
-            tracer = SpanTracer()
-            ClusterSimulator(make_replicas(v4i_point, 2), policy).simulate(
-                traffic, tracer=tracer)
-            return tracer.spans
-
-        fast = run()
-        with fastserve_disabled():
-            cold = run()
+        fast, cold, spans = traced_both_ways(
+            lambda cls, tracer: cls(
+                make_replicas(v4i_point, 2), policy,
+            ).simulate(traffic, tracer=tracer),
+            ClusterSimulator, ReferenceClusterSimulator)
         assert fast == cold
+        assert spans
 
 
 class TestChaosSweepIdentity:
-    def test_every_scenario_row_identical(self):
+    def test_every_scenario_row_identical(self, monkeypatch):
         # The rows `repro cluster --seed 3 --duration 0.3` prints.
         fast = chaos_sweep(seed=3, duration_s=0.3)
-        with fastserve_disabled():
-            cold = chaos_sweep(seed=3, duration_s=0.3)
+        use_reference_loops(monkeypatch)
+        cold = chaos_sweep(seed=3, duration_s=0.3)
         assert len(fast) == len(cold)
         for f, c in zip(fast, cold):
             assert f == c, f"{f.chip}/{f.scenario}/{f.policy} diverged"
@@ -407,61 +409,56 @@ class TestChaosSweepIdentity:
                              "slowdowns", "overload")
             for p in ("static", "resilient")}
 
-    @pytest.mark.parametrize("chip", GENERATIONS, ids=lambda c: c.name)
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31),
            policy=cluster_policies(), faults=fault_models,
            replicas=st.integers(1, 3), rate=st.floats(500.0, 6000.0))
-    def test_identity_property_over_seeds(self, points, chip, seed, policy,
+    def test_identity_property_over_seeds(self, points, seed, policy,
                                           faults, replicas, rate):
-        """Generated router policies x fault models x seeds."""
-        point = points[chip.name]
+        """Generated router policies x fault models x seeds, each
+        example on all four generations."""
         requests = RequestGenerator(seed).poisson("cnn0", rate, 0.15)
-        fast, cold = cluster_both_ways(
-            lambda: ClusterSimulator(make_replicas(point, replicas),
-                                     policy),
-            requests, faults=faults)
-        assert fast == cold
+        for point in points:
+            fast, cold = cluster_both_ways(
+                lambda cls: cls(make_replicas(point, replicas), policy),
+                requests, faults=faults)
+            assert fast == cold, point.chip.name
 
-    @pytest.mark.parametrize("chip", GENERATIONS, ids=lambda c: c.name)
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**31),
            policy=cluster_policies(), replicas=st.integers(1, 3),
            rate=st.floats(500.0, 6000.0))
     def test_identity_under_overlapping_outages(
-            self, points, chip, data, seed, policy, replicas, rate):
+            self, points, data, seed, policy, replicas, rate):
         """Hand-built overlapping outages on any subset of replicas."""
-        point = points[chip.name]
-        schedules = [data.draw(st.none() | overlapping_outages(chip.cores))
-                     for _ in range(replicas)]
         requests = RequestGenerator(seed).poisson("cnn0", rate, 0.15)
-        fast, cold, spans = traced_both_ways(
-            lambda tracer: ClusterSimulator(
-                make_replicas(point, replicas), policy,
-            ).simulate(requests, schedules=schedules, tracer=tracer))
-        assert fast == cold
-        assert_no_launch_while_down(
-            spans, {f"replica{i}/": s for i, s in enumerate(schedules)})
+        for point in points:
+            outages = st.none() | overlapping_outages(point.chip.cores)
+            schedules = [data.draw(outages) for _ in range(replicas)]
+            fast, cold, spans = traced_both_ways(
+                lambda cls, tracer: cls(
+                    make_replicas(point, replicas), policy,
+                ).simulate(requests, schedules=schedules, tracer=tracer),
+                ClusterSimulator, ReferenceClusterSimulator)
+            assert fast == cold, point.chip.name
+            assert_no_launch_while_down(
+                spans, {f"replica{i}/": s for i, s in enumerate(schedules)})
 
 
 class TestGating:
-    def test_context_manager_nests(self):
-        assert fastserve_enabled()
-        with fastserve_disabled():
-            assert not fastserve_enabled()
-            with fastserve_disabled():
-                assert not fastserve_enabled()
-            assert not fastserve_enabled()
-        assert fastserve_enabled()
+    def test_the_oracles_are_different_loops(self):
+        assert ReferenceServingSimulator._replay is not \
+            ServingSimulator._replay
+        assert ReferenceClusterSimulator._replay is not \
+            ClusterSimulator._replay
 
     def test_stats_count_fast_path_only(self, v4i_point, traffic):
         clear_fastserve()
         make_sim(v4i_point).simulate(traffic)
         assert fastserve_stats().replays == 1
         assert fastserve_stats().batches > 0
-        with fastserve_disabled():
-            make_sim(v4i_point).simulate(traffic)
-        assert fastserve_stats().replays == 1  # cold path left no marks
+        make_sim(v4i_point, cls=ReferenceServingSimulator).simulate(traffic)
+        assert fastserve_stats().replays == 1  # the oracle left no marks
         ClusterSimulator(make_replicas(v4i_point, 2)).simulate(traffic)
         assert fastserve_stats().cluster_replays == 1
         clear_fastserve()

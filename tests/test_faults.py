@@ -393,6 +393,21 @@ class TestFaultSweep:
                              duration_s=0.5)
         assert first == second
 
+    def test_seed7_contract(self):
+        """mlp1 and cnn0 on TPUv4i for 1 s under core kills and
+        slowdowns: the sweep reproduces itself record for record, and a
+        zero-fault model reproduces the faultless baseline bit for
+        bit."""
+        apps, chips = ("mlp1", "cnn0"), (TPUV4I,)
+        model = FaultModel(seed=7, core_mtbf_s=0.25, core_repair_s=0.05,
+                           slowdown_mtbf_s=0.5)
+        first = fault_sweep(model, apps=apps, chips=chips, duration_s=1.0)
+        assert first == fault_sweep(model, apps=apps, chips=chips,
+                                    duration_s=1.0)
+        zero = fault_sweep(FaultModel(seed=7), apps=apps, chips=chips,
+                           duration_s=1.0)
+        assert zero and all(row.faulted == row.baseline for row in zero)
+
     def test_zero_fault_sweep_matches_baseline(self):
         rows = fault_sweep(FaultModel(seed=1), apps=("mlp0",),
                            chips=(TPUV4I,), duration_s=0.5)

@@ -409,6 +409,19 @@ class TestBoundaryValidation:
 
 
 class TestLlmSweep:
+    def test_seed5_contract(self):
+        """Both models on TPUv4i at seed 5 for 0.5 s: the sweep
+        reproduces itself, decode is memory-bound on every row, tokens
+        are generated, and llm0 prices its smallest prefill and decode
+        buckets differently at batch 1."""
+        rows = llm_sweep(seed=5, chips=(TPUV4I,), duration_s=0.5)
+        assert rows == llm_sweep(seed=5, chips=(TPUV4I,), duration_s=0.5)
+        assert all(row.decode_memory_bound for row in rows)
+        assert sum(row.stats.tokens_generated for row in rows) > 0
+        point = shared_design_point(TPUV4I)
+        assert (point.latency_s(LLM0.prefill(LLM0.prompt_buckets[0]), 1)
+                != point.latency_s(LLM0.decode(LLM0.kv_buckets[0]), 1))
+
     def test_deterministic_and_memory_bound(self):
         rows = llm_sweep(seed=5, chips=(TPUV4I,), models=("llm0",),
                          duration_s=0.3)

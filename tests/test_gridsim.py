@@ -385,6 +385,13 @@ class TestSweepEquivalence:
             set_cache(previous)
             clear_shared_design_points()
 
+    def test_grid_sweep_gate_spans_100_points(self):
+        """The grid the ``grid-sweep`` speedup gate times end to end."""
+        from benchmarks.speedup_gates import GRID_CLOCKS_GHZ
+        from repro.core.dse import DEFAULT_DSE_APPS
+        chips = enumerate_candidates(clocks_ghz=GRID_CLOCKS_GHZ)
+        assert len(chips) * len(DEFAULT_DSE_APPS) >= 100
+
     def test_cmem_sweep_matches_per_point(self):
         spec = app_by_name("mlp0")
         capacities = [0, 32 * MIB, 128 * MIB]

@@ -17,6 +17,7 @@ import pytest
 
 from repro.arch import GENERATIONS, TPUV4I
 from repro.compiler import compile_model
+from repro.core.design_point import clear_shared_design_points
 from repro.engine.cache import EvalCache
 from repro.engine.lowered import lowered_program
 from repro.engine.modules import built_module
@@ -360,6 +361,16 @@ class TestBuildTrace:
         again = build_trace(app_by_name("mlp0"), TPUV4I, batch=4,
                             serve=True, serve_duration_s=0.05)
         assert traced.tracer.export_json() == again.tracer.export_json()
+
+    def test_default_export_deterministic(self):
+        """mlp1 on TPUv4i at every default (batch, serve phase),
+        exported twice from cold design points: byte-identical."""
+        exports = []
+        for _ in range(2):
+            clear_shared_design_points()
+            exports.append(build_trace(app_by_name("mlp1"),
+                                       TPUV4I).tracer.export_json())
+        assert exports[0] == exports[1]
 
     def test_all_groups_present(self, traced):
         groups = {span.group for span in traced.tracer.spans}

@@ -43,12 +43,13 @@ from repro.pod import (
 )
 from repro.pod.sharding import ICI_LEVEL
 from repro.serving.batching import BatchPolicy
-from repro.serving.fastserve import fastserve_disabled
 from repro.serving.server import ServingSimulator
 from repro.serving.slo import Slo
 from repro.sim.lowered import K_DMA, K_SYNC_WAIT, FastReplay, lower_program
 from repro.workloads.generator import RequestGenerator
 from repro.workloads.models import app_by_name
+from tests.oracle import use_reference_loops
+from tests.oracle.serving import ReferenceServingSimulator
 
 GB = 1e9
 
@@ -298,17 +299,24 @@ class TestShardedProgram:
                                  members=(0, 9))
 
 
+class ReferenceSliceSimulator(ReferenceServingSimulator, SliceSimulator):
+    """A slice served through the reference event loop."""
+
+
 class TestSliceIdentity:
     """The identity contract: 1 chip + zero link faults == plain sim."""
 
-    def _pair(self):
+    def _pair(self, reference=False):
         spec = app_by_name("cnn0")
         slo = Slo(spec.slo_ms / 1e3)
         point = shared_design_point(TPUV4I)
         policy = BatchPolicy(8, slo.limit_s / 4.0)
-        plain = ServingSimulator(point, spec, policy, slo)
-        sliced = SliceSimulator(point, spec, policy, slo,
-                                topology=slice_topology(TPUV4I, 1))
+        plain_cls, slice_cls = ((ReferenceServingSimulator,
+                                 ReferenceSliceSimulator) if reference
+                                else (ServingSimulator, SliceSimulator))
+        plain = plain_cls(point, spec, policy, slo)
+        sliced = slice_cls(point, spec, policy, slo,
+                           topology=slice_topology(TPUV4I, 1))
         return plain, sliced
 
     def test_single_chip_latencies_identical(self):
@@ -322,16 +330,16 @@ class TestSliceIdentity:
         requests = RequestGenerator(17).poisson("cnn0", 400, 0.5)
         expected = plain.simulate(requests)
         assert sliced.simulate(requests) == expected
-        with fastserve_disabled():  # and on the reference event loops
-            assert sliced.simulate(requests) == expected
-            assert plain.simulate(requests) == expected
+        # ...and on the reference event loop.
+        plain, sliced = self._pair(reference=True)
+        assert sliced.simulate(requests) == expected
+        assert plain.simulate(requests) == expected
 
     def test_zero_fault_pod_model_bit_identical(self):
-        plain, sliced = self._pair()
-        sliced.pod_faults = PodFaultModel(seed=5)
         requests = RequestGenerator(17).poisson("cnn0", 400, 0.5)
-        assert sliced.simulate(requests) == plain.simulate(requests)
-        with fastserve_disabled():
+        for reference in (False, True):
+            plain, sliced = self._pair(reference)
+            sliced.pod_faults = PodFaultModel(seed=5)
             assert sliced.simulate(requests) == plain.simulate(requests)
 
     def test_multi_chip_zero_fault_simulate_matches_plain_call(self):
@@ -450,6 +458,32 @@ class TestPodChaosSweep:
         cells = [r.stats.availability for r in rows
                  if r.scenario == "kill-1-link" and r.policy == "resilient"]
         assert cells and min(cells) >= 0.97
+
+    def test_rows_identical_on_reference_loops(self, rows, monkeypatch):
+        use_reference_loops(monkeypatch)
+        assert pod_chaos_sweep(seed=2, duration_s=0.3) == rows
+
+    def test_mlp1_seed5_contract(self):
+        """mlp1 on TPUv4i at seed 5: the sweep reproduces itself, a
+        1-chip slice matches the plain simulator on 400 qps of seed-13
+        traffic, and the resilient router keeps >= 97% availability
+        through a dead ICI link."""
+        kwargs = dict(seed=5, apps=("mlp1",), chips=(TPUV4I,),
+                      duration_s=0.5)
+        rows = pod_chaos_sweep(**kwargs)
+        assert rows == pod_chaos_sweep(**kwargs)
+        cells = [r.stats.availability for r in rows
+                 if r.scenario == "kill-1-link" and r.policy == "resilient"]
+        assert cells and min(cells) >= 0.97
+        spec = app_by_name("mlp1")
+        slo = Slo(spec.slo_ms / 1e3)
+        point = shared_design_point(TPUV4I)
+        policy = BatchPolicy(max_batch=8, max_wait_s=slo.limit_s / 4.0)
+        requests = RequestGenerator(13).poisson(spec.name, 400.0, 0.5)
+        plain = ServingSimulator(point, spec, policy, slo).simulate(requests)
+        sliced = SliceSimulator(point, spec, policy, slo,
+                                topology=slice_topology(TPUV4I, 1))
+        assert sliced.simulate(requests) == plain
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):

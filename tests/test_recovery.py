@@ -26,6 +26,7 @@ from repro.serving import (
     HOST_LEVEL,
     RecoveryPolicy,
     llm_chaos_sweep,
+    phase_latency_table,
     snapshot_latency_table,
     snapshot_lowered,
     snapshot_replay,
@@ -407,6 +408,41 @@ class TestChaosSweep:
         for row in first:
             assert row.stats.requests == (row.stats.served_requests
                                           + row.stats.dropped_requests)
+
+    def test_seed5_contract(self):
+        """llm0 on TPUv3 at seed 5 with checkpoints every 8 tokens: the
+        chaos sweep reproduces itself, checkpointing strictly beats
+        scratch re-prefill on goodput under mid-step kills and on
+        served requests under a permanent core death, and the outage
+        scenario really migrates sequences. On TPUv4i's priced tables,
+        a do-nothing policy is bit-identical to none, and a snapshot
+        moves exactly the KV footprint through HBM and host."""
+        kwargs = dict(seed=5, models=("llm0",), chips=(TPUV3,),
+                      duration_s=0.5, checkpoint_every=8)
+        rows = llm_chaos_sweep(**kwargs)
+        assert rows == llm_chaos_sweep(**kwargs)
+        by_key = {(r.scenario, r.policy.startswith("ckpt")): r.stats
+                  for r in rows}
+        assert (by_key[("kill", True)].goodput_fraction
+                > by_key[("kill", False)].goodput_fraction)
+        assert (by_key[("outage", True)].served_requests
+                > by_key[("outage", False)].served_requests)
+        assert by_key[("outage", True)].migrated_requests > 0
+
+        point = shared_design_point(TPUV4I)
+        table = phase_latency_table(point, LLM0, LLM0.default_slots)
+        requests = sample_gen_requests(LLM0, 11, 200.0, 0.3)
+        plain = ContinuousBatchingSimulator(point, LLM0)
+        plain.seed_latencies(table)
+        zero = ContinuousBatchingSimulator(
+            point, LLM0, recovery=RecoveryPolicy(checkpoint_every=0))
+        zero.seed_latencies(table)
+        assert zero.simulate(requests) == plain.simulate(requests)
+        replayed = snapshot_replay(point, LLM0, LLM0.kv_buckets[0], 1)
+        ledger = dict(replayed.counters.bytes_by_level)
+        kv_bytes = LLM0.kv_cache_bytes(LLM0.kv_buckets[0], 1)
+        assert ledger["hbm"] == ledger[HOST_LEVEL] == kv_bytes
+        assert replayed.seconds > 0
 
     def test_faultless_scratch_matches_plain_sweep_goodput(self):
         rows = llm_chaos_sweep(seed=2, models=("llm0",), chips=(TPUV3,),

@@ -57,6 +57,13 @@ class TestPercentileAndSlo:
         with pytest.raises(ValueError):
             Slo(1.0, pct=101)
 
+    @pytest.mark.parametrize("limit", [0.0, -0.01, math.nan, math.inf])
+    def test_slo_limit_names_the_value(self, limit):
+        with pytest.raises(ValueError,
+                           match=f"SLO limit must be positive and finite, "
+                                 f"got {limit}$"):
+            Slo(limit)
+
 
 class TestBatchPolicy:
     def test_padded_size_rounds_up(self):
@@ -78,6 +85,15 @@ class TestBatchPolicy:
             BatchPolicy(0, 0.0)
         with pytest.raises(ValueError):
             BatchPolicy(1, -0.1)
+
+    @pytest.mark.parametrize("wait", [-0.1, math.nan, math.inf])
+    def test_max_wait_names_the_value(self, wait):
+        with pytest.raises(ValueError, match=f"got {wait}$"):
+            BatchPolicy(max_batch=8, max_wait_s=wait)
+
+    def test_max_batch_names_the_value(self):
+        with pytest.raises(ValueError, match="max_batch must be >= 1, got 0$"):
+            BatchPolicy(max_batch=0, max_wait_s=0.0)
 
     def test_padded_size_rejects_empty_batch(self):
         """Locked contract: an empty batch must never be priced.
