@@ -17,6 +17,8 @@ replaced.
 from __future__ import annotations
 
 import math
+import signal
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import GENERATIONS
+from repro.arch import GENERATIONS, TPUV1
 from repro.cluster import ClusterPolicy, ClusterSimulator, DegradationTier
 from repro.cluster.sweep import chaos_sweep
 from repro.core.design_point import DesignPoint
@@ -159,6 +161,25 @@ def assert_no_launch_while_down(spans, schedules):
                     span, (start, stop))
 
 
+@contextmanager
+def deadline(seconds):
+    """Fail, instead of hanging, if the block outlives ``seconds``."""
+    def expire(*_):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        # A fresh exception: the interrupted frame may be one pytest
+        # cannot render.
+        raise TimeoutError(f"did not finish within {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def traced_both_ways(run, shipped, reference):
     """Run ``run(cls, tracer)`` on the shipped simulator class and on its
     oracle, each with its own tracer; the spans must match too."""
@@ -266,6 +287,25 @@ class TestServingIdentity:
                 ServingSimulator, ReferenceServingSimulator)
             assert fast == cold, point.chip.name
             assert_no_launch_while_down(spans, {"": schedule})
+
+    @pytest.mark.parametrize("arrivals, max_wait_s, mean_batch", [
+        ((0.0, 2**-9), 2**-9, 2.0),         # arrival == batch deadline
+        ((0.0, 2**-9, 2**-8), 0.0, 1.5),    # arrival == core free time
+    ])
+    def test_arrival_on_the_horizon_joins_the_batch(
+            self, v4i_point, arrivals, max_wait_s, mean_batch):
+        # Dyadic times tie exactly; the absorb rule is inclusive, and
+        # the router orders arrivals before launches at equal times.
+        table = {step: 2**-8 for step in BatchPolicy.batch_steps(8)}
+        make = partial(make_sim, v4i_point, max_wait_s=max_wait_s,
+                       table=table)
+        fast, cold = serving_both_ways(make, list(arrivals))
+        assert fast == cold
+        assert fast.mean_batch == mean_batch
+        clustered, reference = cluster_both_ways(
+            lambda cls: cls([make()]), list(arrivals))
+        assert clustered == reference
+        assert clustered.replica_stats[0] == fast
 
     def test_launch_waits_out_both_outages(self, v4i_point):
         # Outage 2 opens inside outage 1 and outlasts it: the first
@@ -379,6 +419,35 @@ class TestClusterIdentity:
             lambda cls: cls(make_replicas(v4i_point, 2)),
             traffic, schedules=[kill_schedule(cores, start_s=0.1), None])
         assert fast == cold
+        assert fast.dropped_requests > 0
+
+    def test_hedge_cancel_can_pull_a_launch_earlier(self, v3_point):
+        # Queues hold hedge copies in append order, not arrival order,
+        # so cancelling one can make a replica's head batch due before
+        # the next completion. The kernel once drained past that launch.
+        requests = RequestGenerator(9).poisson("cnn0", 3000.0, 0.15)
+        policy = ClusterPolicy(probe_interval_s=0.01, hedge_delay_s=0.001)
+        fast, cold = cluster_both_ways(
+            lambda cls: cls(make_replicas(v3_point, 2), policy), requests)
+        assert fast == cold
+        assert fast.cancelled_hedges > 0
+
+    def test_stranded_queue_on_dead_ejected_replica_is_dropped(self):
+        # Ejected during outage 1, the replica dies for good in outage 2
+        # with work queued that no probe can ever re-admit: both loops
+        # once probed forever here.
+        point = DesignPoint(TPUV1)
+        policy = ClusterPolicy(probe_interval_s=0.04, unhealthy_after=1,
+                               ejection_s=0.03)
+        schedule = FaultSchedule(1, 1.0, down=[(0, 0.04, 0.13),
+                                               (0, 0.07, math.inf)])
+        requests = RequestGenerator(1).poisson("cnn0", 1200.0, 0.15)
+        with deadline(10.0):
+            fast, cold = cluster_both_ways(
+                lambda cls: cls(make_replicas(point, 1), policy),
+                requests, schedules=[schedule])
+        assert fast == cold
+        assert fast.ejections == 1
         assert fast.dropped_requests > 0
 
     def test_tracer_spans_identical(self, v4i_point, traffic):
