@@ -150,7 +150,7 @@ def _grid_kernel(side: str) -> dict:
             seconds, out = _timed(lambda: evaluate_grid(points))
     else:
         seconds, out = _timed(lambda: evaluate_grid(points))
-    return {"s": seconds, "digest": _sim_digest(out), "points": len(points)}
+    return {"s": seconds, "digest": _sim_digest(out)}
 
 
 def _grid_sweep(side: str) -> dict:
@@ -188,8 +188,7 @@ def _fastserve(side: str) -> dict:
 
     sweep(0.05)  # prices every latency table the timed sweep needs
     seconds, out = _timed(lambda: sweep(5.0))
-    return {"s": seconds, "digest": _digest(out),
-            "requests": sum(row.stats.requests for row in out)}
+    return {"s": seconds, "digest": _digest(out)}
 
 
 def _metrics_off(side: str) -> dict:
@@ -258,8 +257,6 @@ def _dse_engine(side: str) -> dict:
     return {"s": seconds, "digest": _digest(out)}
 
 
-#: gate -> (side runner, side names, bounds). A bound is (label, check)
-#: where check maps {side: median seconds} to (value, holds).
 def _ratio(slow: str, fast: str, least: float):
     return (f"{slow} / {fast} >= {least:g}",
             lambda m, **_: (m[slow] / m[fast], m[slow] / m[fast] >= least))
@@ -272,6 +269,9 @@ def _guard_pct(m, runs):
     return pct, pct < 2.0
 
 
+#: gate -> (side runner, side names, bounds). A bound is (label, check)
+#: where check maps {side: median seconds} (and every run's report) to
+#: (value, holds).
 GATES = {
     "sim-path": (_sim_path, ("interpreter", "replay"),
                  [_ratio("interpreter", "replay", 2.0)]),
@@ -302,7 +302,7 @@ def run_side(gate: str, side: str) -> dict:
     return GATES[gate][0](side)
 
 
-# ----------------------------------------------------------------- driver
+# ------------------------------------------------------- parent process
 
 def _child(gate: str, side: str) -> dict:
     env = dict(os.environ)

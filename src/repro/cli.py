@@ -41,7 +41,7 @@ def _count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
+        value = 0  # not an integer: rejected below like any value < 1
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be an integer >= 1, got {text}")

@@ -21,10 +21,9 @@ kernel is checked against.
 
 **Identity contract** (asserted in ``tests/test_cluster.py``): a
 one-replica cluster under a passthrough policy — and with no faults —
-produces a per-replica
-:class:`~repro.serving.server.ServingStats` that equals the plain
-``ServingSimulator.simulate`` result on the same trace, field for
-field, bit for bit. The router adds *nothing* to the fault-free path;
+produces a per-replica :class:`~repro.serving.server.ServingStats` that
+equals the plain ``ServingSimulator.simulate`` result on the same
+trace, field for field, bit for bit. The router adds *nothing* to the fault-free path;
 every protection is pay-for-what-you-use.
 
 Replica fault streams are forked deterministically: replica ``i``

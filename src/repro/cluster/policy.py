@@ -89,21 +89,28 @@ class ClusterPolicy:
     recover_after: int = 4    # consecutive good windows to step up
 
     def __post_init__(self) -> None:
-        if self.probe_interval_s is not None and self.probe_interval_s <= 0:
-            raise ValueError("probe_interval_s must be positive")
+        # Comparisons are phrased so NaN fails them.
+        if (self.probe_interval_s is not None
+                and not 0 < self.probe_interval_s < math.inf):
+            raise ValueError(f"probe_interval_s must be positive and "
+                             f"finite, got {self.probe_interval_s}")
         if self.unhealthy_after < 1:
             raise ValueError("unhealthy_after must be >= 1")
-        if self.ejection_s < 0:
-            raise ValueError("ejection_s must be non-negative")
+        if not self.ejection_s >= 0:
+            raise ValueError(
+                f"ejection_s must be non-negative, got {self.ejection_s}")
         if (self.admission_rate_qps is not None
-                and self.admission_rate_qps <= 0):
-            raise ValueError("admission_rate_qps must be positive")
-        if self.admission_burst < 1:
-            raise ValueError("admission_burst must be >= 1")
+                and not 0 < self.admission_rate_qps < math.inf):
+            raise ValueError(f"admission_rate_qps must be positive and "
+                             f"finite, got {self.admission_rate_qps}")
+        if not self.admission_burst >= 1:
+            raise ValueError(
+                f"admission_burst must be >= 1, got {self.admission_burst}")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.hedge_delay_s is not None and self.hedge_delay_s < 0:
-            raise ValueError("hedge_delay_s must be non-negative")
+        if self.hedge_delay_s is not None and not self.hedge_delay_s >= 0:
+            raise ValueError(f"hedge_delay_s must be non-negative, "
+                             f"got {self.hedge_delay_s}")
         for tier in self.tiers:
             if not isinstance(tier, DegradationTier):
                 raise ValueError("tiers must be DegradationTier instances")

@@ -121,6 +121,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{message}, got {value}$"):
             ClusterPolicy.resilient(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("probe_interval_s", math.nan), ("probe_interval_s", math.inf),
+        ("ejection_s", math.nan), ("admission_rate_qps", math.nan),
+        ("admission_rate_qps", math.inf), ("admission_burst", math.nan),
+        ("hedge_delay_s", math.nan),
+    ])
+    def test_policy_rejects_non_finite_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} .*, got {value}$"):
+            ClusterPolicy(**{field: value})
+
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match="at least one replica"):
             ClusterSimulator([])

@@ -200,8 +200,8 @@ def serving_both_ways(make, requests, **kwargs):
 
 def cluster_both_ways(make, requests, **kwargs):
     """The cluster counterpart of :func:`serving_both_ways`."""
-    fast = make(ClusterSimulator).simulate(requests, **kwargs)
-    cold = make(ReferenceClusterSimulator).simulate(requests, **kwargs)
+    fast = make(cls=ClusterSimulator).simulate(requests, **kwargs)
+    cold = make(cls=ReferenceClusterSimulator).simulate(requests, **kwargs)
     return fast, cold
 
 
@@ -424,7 +424,7 @@ class TestClusterIdentity:
     def test_hedge_cancel_can_pull_a_launch_earlier(self, v3_point):
         # Queues hold hedge copies in append order, not arrival order,
         # so cancelling one can make a replica's head batch due before
-        # the next completion. The kernel once drained past that launch.
+        # the next completion: the kernel must stop draining there.
         requests = RequestGenerator(9).poisson("cnn0", 3000.0, 0.15)
         policy = ClusterPolicy(probe_interval_s=0.01, hedge_delay_s=0.001)
         fast, cold = cluster_both_ways(
@@ -435,7 +435,7 @@ class TestClusterIdentity:
     def test_stranded_queue_on_dead_ejected_replica_is_dropped(self):
         # Ejected during outage 1, the replica dies for good in outage 2
         # with work queued that no probe can ever re-admit: both loops
-        # once probed forever here.
+        # must drop that work and end, not probe forever.
         point = DesignPoint(TPUV1)
         policy = ClusterPolicy(probe_interval_s=0.04, unhealthy_after=1,
                                ejection_s=0.03)
