@@ -10,6 +10,11 @@ breaks ties), and routes with generator scans. The shipped kernel
 inlines routing; every :class:`~repro.cluster.cluster.ClusterStats` and
 tracer span it produces must equal this loop's bit for bit
 (``tests/test_fastserve.py``, ``tests/test_pod.py``).
+
+The loop is the original one with a single addition, made in the kernel
+too: once nothing is pending but queues on ejected replicas whose every
+core is down for good, those queues are dropped. The original loop
+probed such a cluster forever.
 """
 
 from __future__ import annotations
