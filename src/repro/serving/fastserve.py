@@ -648,11 +648,12 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
         # (completions win the tie), a timer through it (probes beat
         # hedges at equal times, so the reference still sees the timer
         # in its heap when the tied probe is selected).
-        if probes_on and (
-                index < total or completion_heap or queued_total
-                or settled_until > next_probe
-                or (hedges and arrivals[hedges[-1]] + hedge_delay
-                    >= next_probe)):
+        events_pending = (
+            index < total or completion_heap
+            or settled_until > next_probe
+            or (hedges and arrivals[hedges[-1]] + hedge_delay
+                >= next_probe))
+        if probes_on and (events_pending or queued_total):
             t_probe = next_probe
         else:
             t_probe = inf
@@ -722,10 +723,7 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
             continue
 
         if best_kind == 1:       # ----- probe window -----
-            if (index == total and not completion_heap
-                    and settled_until <= next_probe
-                    and not (hedges and arrivals[hedges[-1]] + hedge_delay
-                             >= next_probe)
+            if (not events_pending
                     and all(reps[i].dead and reps[i].health != _HEALTHY
                             for i in range(n) if queues[i])):
                 # Nothing is left but ejected replicas whose every core

@@ -14,20 +14,19 @@ hook with the original, slower loop, kept verbatim:
   ``ContinuousBatchingSimulator._run_core``.
 
 Sweeps build their simulators internally; :func:`use_reference_loops`
-patches the serving and cluster hooks for one test so a whole sweep
-runs on the oracles.
+patches the serving and cluster hooks so a whole sweep runs on the
+oracles — for one test (pass ``monkeypatch.setattr``) or for the rest
+of a throwaway interpreter (the default, plain ``setattr``).
 """
 
 
-def use_reference_loops(monkeypatch) -> None:
+def use_reference_loops(patch=setattr) -> None:
     """Route every serving and cluster simulator through its oracle
-    loop until the test ends."""
+    loop, patching the two hooks with ``patch(cls, name, value)``."""
     from repro.cluster.cluster import ClusterSimulator
     from repro.serving.server import ServingSimulator
     from tests.oracle.cluster import ReferenceClusterSimulator
     from tests.oracle.serving import ReferenceServingSimulator
 
-    monkeypatch.setattr(ServingSimulator, "_replay",
-                        ReferenceServingSimulator._replay)
-    monkeypatch.setattr(ClusterSimulator, "_replay",
-                        ReferenceClusterSimulator._replay)
+    patch(ServingSimulator, "_replay", ReferenceServingSimulator._replay)
+    patch(ClusterSimulator, "_replay", ReferenceClusterSimulator._replay)

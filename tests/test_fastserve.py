@@ -467,7 +467,7 @@ class TestChaosSweepIdentity:
     def test_every_scenario_row_identical(self, monkeypatch):
         # The rows `repro cluster --seed 3 --duration 0.3` prints.
         fast = chaos_sweep(seed=3, duration_s=0.3)
-        use_reference_loops(monkeypatch)
+        use_reference_loops(monkeypatch.setattr)
         cold = chaos_sweep(seed=3, duration_s=0.3)
         assert len(fast) == len(cold)
         for f, c in zip(fast, cold):

@@ -460,7 +460,7 @@ class TestPodChaosSweep:
         assert cells and min(cells) >= 0.97
 
     def test_rows_identical_on_reference_loops(self, rows, monkeypatch):
-        use_reference_loops(monkeypatch)
+        use_reference_loops(monkeypatch.setattr)
         assert pod_chaos_sweep(seed=2, duration_s=0.3) == rows
 
     def test_mlp1_seed5_contract(self):
